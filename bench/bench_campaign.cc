@@ -319,15 +319,10 @@ main()
                 "(target: >= 3x on >= 8 hardware threads)\n",
                 speedup_t1);
     bool failed = false;
-#if !defined(ACDSE_NO_SIM_BATCH)
-    // With ACDSE_SIM_BATCH=OFF the entry points fall back to scalar
-    // simulate(), which constructs its components per call; the
-    // zero-allocation contract only binds the real batched engine.
     if (steady_allocs != 0) {
         std::printf("FAIL: steady-state batched pass allocated\n");
         failed = true;
     }
-#endif
     if (hw >= 8 && speedup_t1 < 3.0) {
         std::printf("FAIL: below the batched-replay speedup floor\n");
         failed = true;

@@ -221,7 +221,8 @@ main()
     const double p99Us = service.requestLatencyQuantileMs(0.99) * 1e3;
     const double p999Us =
         service.requestLatencyQuantileMs(0.999) * 1e3;
-    const ServiceStats stats = service.stats();
+    const std::uint64_t shed =
+        service.statsSnapshot().counters.at("serve/shed");
 
     std::printf("\n%llu requests in %.2f s: %.0f req/s\n",
                 static_cast<unsigned long long>(completed), seconds,
@@ -231,7 +232,7 @@ main()
                 p50Us, p99Us, p999Us);
     std::printf("shed-and-retried: %llu; swaps: %llu (final version "
                 "%llu)\n",
-                static_cast<unsigned long long>(stats.rejected),
+                static_cast<unsigned long long>(shed),
                 static_cast<unsigned long long>(swaps),
                 static_cast<unsigned long long>(
                     service.currentVersion()));
@@ -254,8 +255,7 @@ main()
         .key("serve_latency_p50_us").value(p50Us)
         .key("serve_latency_p99_us").value(p99Us)
         .key("serve_latency_p999_us").value(p999Us)
-        .key("serve_latency_shed").value(
-            static_cast<double>(stats.rejected))
+        .key("serve_latency_shed").value(static_cast<double>(shed))
         .endObject();
     json.key("stages");
     obs::writeStagesJson(json, service.statsSnapshot());

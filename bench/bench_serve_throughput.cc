@@ -107,8 +107,6 @@ measure(const ModelArtifact &artifact, std::size_t threads,
 {
     ServeOptions options;
     options.threads = threads;
-    // Measure the pool even for small batches.
-    options.inlineBelow = threads > 1 ? 0 : queries.size();
     PredictionService service(artifact, options);
 
     // One warm-up pass, then the measured passes.

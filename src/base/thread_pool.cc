@@ -19,6 +19,11 @@ namespace
 // a worker on other workers (which can deadlock a pool of one).
 thread_local bool tl_pool_worker = false;
 
+// Set while the calling thread runs its own share of a parallelFor, so
+// a nested call from one of those bodies serialises exactly as it
+// would on a worker.
+thread_local bool tl_in_loop = false;
+
 /**
  * The pool's metrics, shared by every ThreadPool instance. References
  * into the leaked global registry, so workers of static pools can
@@ -219,7 +224,7 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
 
     // Serial paths: a pool of one, a loop of one, or a nested call
     // from inside a worker (the outer loop owns the parallelism).
-    if (workers_.empty() || total == 1 || tl_pool_worker) {
+    if (workers_.empty() || total == 1 || tl_pool_worker || tl_in_loop) {
         for (std::size_t i = begin; i < end; ++i)
             body(i);
         return;
@@ -243,7 +248,12 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
     }
     workCv_.notifyAll();
 
+    // drain() never throws (it records exceptions in the job), and a
+    // nested call returned through the serial path above, so the flag
+    // is always false here.
+    tl_in_loop = true;
     drain(*job);
+    tl_in_loop = false;
     MutexLock lock(job->mutex);
     while (job->completed.load(std::memory_order_acquire) != total)
         job->done.wait(job->mutex);

@@ -22,9 +22,11 @@
  *    hardware concurrency. A pool of size 1 spawns no threads at all
  *    and runs everything inline -- the single-thread fallback.
  *
- *  - Nesting. parallelFor() called from inside any pool worker runs
- *    the whole loop serially inline on that worker (supported, not
- *    rejected): the outermost loop owns the parallelism, inner loops
+ *  - Nesting. parallelFor() called from inside any pool worker, or
+ *    from a loop body the calling thread runs as its share of a
+ *    parallelFor, runs the whole loop serially inline on that thread
+ *    (supported, not rejected): the outermost loop owns the
+ *    parallelism, whichever pool the inner loop names; inner loops
  *    degrade to plain loops, and no combination of nested calls can
  *    deadlock or oversubscribe. submit() from a worker enqueues
  *    normally; blocking on the returned future from inside a worker of
@@ -104,8 +106,8 @@ class ThreadPool
      * participates; indices are claimed in blocks of @p grain rising
      * monotonically. Blocks until completion; rethrows the
      * lowest-indexed exception observed (later indices may then be
-     * skipped). Safe to call from inside a worker: the loop then runs
-     * serially inline (see file comment).
+     * skipped). Safe to call from inside a worker or another loop's
+     * body: the loop then runs serially inline (see file comment).
      */
     void parallelFor(std::size_t begin, std::size_t end,
                      const std::function<void(std::size_t)> &body,

@@ -146,32 +146,59 @@ ArchitectureCentricPredictor::predictBatchFromFeatures(
     const double *features, std::size_t count, double *out,
     BatchPredictScratch &scratch) const
 {
-    ACDSE_DCHECK(ready(), "predict before training/responses");
-    const std::size_t m = programModels_.size();
-    const std::size_t d = featureDim();
-    // Transpose each full block to feature-major once and run the
-    // block entry point on it; remainder points run each model's
-    // ordinary batch path (the scalar path on a sub-block count) into
-    // a model-major slab for one regressor pass. Per-point arithmetic
-    // is identical either way, so out[] is bit-identical to the scalar
-    // predict at any count.
+    const ArchitectureCentricPredictor *self = this;
+    predictEnsembles({&self, 1}, features, count, out, scratch);
+}
+
+void
+ArchitectureCentricPredictor::predictEnsembles(
+    std::span<const ArchitectureCentricPredictor *const> ensembles,
+    const double *features, std::size_t count, double *out,
+    BatchPredictScratch &scratch)
+{
+    if (ensembles.empty())
+        return;
+    const std::size_t d = ensembles.front()->featureDim();
+    for (const ArchitectureCentricPredictor *ensemble : ensembles) {
+        ACDSE_DCHECK(ensemble->featureDim() == d,
+                     "ensembles disagree on the feature width");
+    }
+    // Per-point arithmetic is the same in the block kernel and the
+    // tail path, so out[] is bit-identical to the scalar predict at
+    // any count and however the points fall into blocks.
     const std::size_t full = count - count % simd::kLanes;
     scratch.soa.resize(d * simd::kLanes);
     for (std::size_t base = 0; base < full; base += simd::kLanes) {
         simd::transposeBlock(features + base * d, d, scratch.soa.data());
-        predictBlockSoaFromFeatures(scratch.soa.data(), out + base,
-                                    scratch);
+        for (std::size_t k = 0; k < ensembles.size(); ++k) {
+            ensembles[k]->predictBlockSoaFromFeatures(
+                scratch.soa.data(), out + k * count + base, scratch);
+        }
     }
     if (full < count) {
-        const std::size_t rem = count - full;
-        scratch.ensemble.resize(m * rem);
-        for (std::size_t j = 0; j < m; ++j) {
-            programModels_[j]->predictBatchFromFeatures(
-                features + full * d, rem,
-                scratch.ensemble.data() + j * rem, scratch.mlp);
+        for (std::size_t k = 0; k < ensembles.size(); ++k) {
+            ensembles[k]->predictTail(features + full * d, count - full,
+                                      out + k * count + full, scratch);
         }
-        regressor_.predictSoa(scratch.ensemble.data(), rem, out + full);
     }
+}
+
+void
+ArchitectureCentricPredictor::predictTail(
+    const double *features, std::size_t count, double *out,
+    BatchPredictScratch &scratch) const
+{
+    ACDSE_DCHECK(ready(), "predict before training/responses");
+    // Each member model's ordinary batch path (the scalar path on a
+    // sub-block count) into a model-major slab for one regressor pass.
+    const std::size_t m = programModels_.size();
+    scratch.ensemble.resize(m * count);
+    for (std::size_t j = 0; j < m; ++j) {
+        programModels_[j]->predictBatchFromFeatures(
+            features, count, scratch.ensemble.data() + j * count,
+            scratch.mlp);
+    }
+    regressor_.predictSoa(scratch.ensemble.data(), count, out);
 }
 
 void

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -126,12 +127,9 @@ class ArchitectureCentricPredictor
     /**
      * Predict @p count design points at once: point c occupies
      * features[c * featureDim() .. (c+1) * featureDim()) row-major and
-     * its prediction lands in out[c]. Each simd::kLanes-wide block is
-     * transposed to feature-major once and every ensemble ANN runs its
-     * vectorised block kernel on that shared layout, then the fitted
-     * linear combination folds the model-major outputs lane-wise
-     * (LinearRegression::predictSoa). out[c] is bit-identical to
-     * predictFromFeatures on point c at any count and thread count.
+     * its prediction lands in out[c]. predictEnsembles() over this
+     * ensemble alone; out[c] is bit-identical to predictFromFeatures
+     * on point c at any count and thread count.
      */
     void predictBatchFromFeatures(const double *features,
                                   std::size_t count, double *out,
@@ -141,13 +139,29 @@ class ArchitectureCentricPredictor
      * Predict one full simd::kLanes-wide block already transposed to
      * feature-major layout (soa[f * kLanes + lane]); out receives
      * kLanes predictions, bit-identical to predictFromFeatures per
-     * lane. This is the engine-facing entry point: a caller scoring
-     * several metrics of the same points -- the exploration engine
-     * runs one ensemble per metric -- transposes each block once and
-     * hands the shared layout to every ensemble.
+     * lane. Every ensemble ANN runs its vectorised block kernel on the
+     * shared layout, then the fitted linear combination folds the
+     * model-major outputs lane-wise (LinearRegression::predictSoa).
      */
     void predictBlockSoaFromFeatures(const double *soa, double *out,
                                      BatchPredictScratch &scratch) const;
+
+    /**
+     * The one kernel that turns feature rows into predictions of
+     * several metrics: exploration tiles, PredictionService::predict()
+     * chunks and the async drainer's tenant groups all run through it.
+     * Rows are laid out as for predictBatchFromFeatures (every
+     * ensemble must share one featureDim()); ensemble k's prediction
+     * for point c lands in out[k * count + c]. Each full simd::kLanes
+     * block is transposed to feature-major once and shared by every
+     * ensemble's block kernel; the sub-block remainder runs each
+     * member model's batch path. Bit-identical to predictFromFeatures
+     * per (ensemble, point) at any count.
+     */
+    static void predictEnsembles(
+        std::span<const ArchitectureCentricPredictor *const> ensembles,
+        const double *features, std::size_t count, double *out,
+        BatchPredictScratch &scratch);
 
     /**
      * Error of the fit on its own responses (the "training error" of
@@ -195,6 +209,10 @@ class ArchitectureCentricPredictor
     void load(BinaryReader &r);
 
   private:
+    /** Predict fewer than simd::kLanes row-major points. */
+    void predictTail(const double *features, std::size_t count,
+                     double *out, BatchPredictScratch &scratch) const;
+
     ArchCentricOptions options_;
     std::vector<std::string> programNames_;
     std::vector<std::shared_ptr<const ProgramSpecificPredictor>>

@@ -9,9 +9,9 @@
  * points -- deterministic enumeration of a (reduced) grid, or seeded
  * uniform sampling of the full space -- with the validity rules fused
  * into production so invalid points are never materialised. Each tile
- * is packed into the SIMD feature-block layout, pushed through every
- * requested metric ensemble with one shared transpose per block
- * (ArchitectureCentricPredictor::predictBlockSoaFromFeatures), and
+ * is pushed through every requested metric ensemble with one shared
+ * transpose per SIMD block (ArchitectureCentricPredictor::
+ * predictEnsembles, the kernel the prediction service also runs), and
  * folded into streaming reducers: an exact cycles-vs-energy Pareto
  * frontier and a bounded top-k per metric. Tiles run in parallel on
  * the shared ThreadPool; per-tile RNG derivation and index-ordered

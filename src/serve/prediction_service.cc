@@ -8,7 +8,6 @@
 #include "base/check.hh"
 #include "base/logging.hh"
 #include "base/parse.hh"
-#include "base/simd.hh"
 #include "obs/stats_export.hh"
 #include "obs/trace_span.hh"
 
@@ -171,32 +170,26 @@ PredictionService::publish(TenantId tenant, ModelArtifact artifact)
 }
 
 void
-PredictionService::computeRange(
-    const ModelArtifact &artifact,
-    const std::vector<MicroarchConfig> &queries,
-    std::vector<PredictionRow> &rows, std::size_t begin,
-    std::size_t end) const
+PredictionService::predictRows(const ServedModel *model,
+                               const double *features, std::size_t n,
+                               PredictionRow *rows)
 {
-    // Assemble the chunk's feature matrix once (row-major, one row per
-    // query) and run each metric's ensemble through its vectorised
-    // batch kernel over the whole chunk, then scatter the contiguous
-    // per-metric outputs into the rows. Bit-identical to the former
-    // per-point predictFromFeatures loop at any chunk/thread count.
-    const std::size_t n = end - begin;
-    std::vector<double> features(n * kNumParams);
-    std::vector<double> out(n);
+    for (std::size_t i = 0; i < n; ++i)
+        rows[i].values.fill(std::numeric_limits<double>::quiet_NaN());
+    if (model == nullptr)
+        return;
+    const auto &entries = model->artifact.entries();
+    std::vector<const ArchitectureCentricPredictor *> ensembles;
+    for (const auto &entry : entries)
+        ensembles.push_back(&entry.predictor);
+    std::vector<double> out(entries.size() * n);
     BatchPredictScratch scratch;
-    for (std::size_t i = 0; i < n; ++i) {
-        queries[begin + i].featuresInto(&features[i * kNumParams]);
-        rows[begin + i].values.fill(
-            std::numeric_limits<double>::quiet_NaN());
-    }
-    for (const auto &entry : artifact.entries()) {
-        entry.predictor.predictBatchFromFeatures(features.data(), n,
-                                                 out.data(), scratch);
-        const auto metric = static_cast<std::size_t>(entry.metric);
+    ArchitectureCentricPredictor::predictEnsembles(ensembles, features, n,
+                                                   out.data(), scratch);
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+        const auto metric = static_cast<std::size_t>(entries[k].metric);
         for (std::size_t i = 0; i < n; ++i)
-            rows[begin + i].values[metric] = out[i];
+            rows[i].values[metric] = out[k * n + i];
     }
 }
 
@@ -212,10 +205,16 @@ PredictionService::predict(const std::vector<MicroarchConfig> &queries)
     // publish() swaps the *next* batch, never splits this one.
     const std::shared_ptr<const ServedModel> served =
         model(kDefaultTenant);
-    const ModelArtifact &artifact = served->artifact;
+    const auto predictRange = [&](std::size_t begin, std::size_t end) {
+        std::vector<double> features((end - begin) * kNumParams);
+        for (std::size_t i = begin; i < end; ++i)
+            queries[i].featuresInto(&features[(i - begin) * kNumParams]);
+        predictRows(served.get(), features.data(), end - begin,
+                    rows.data() + begin);
+    };
 
-    if (pool_.workers() == 0 || queries.size() <= options_.inlineBelow) {
-        computeRange(artifact, queries, rows, 0, queries.size());
+    if (pool_.workers() == 0 || queries.size() <= 2 * options_.chunk) {
+        predictRange(0, queries.size());
     } else {
         // Time spent waiting for the batch mutex is the service's
         // queueing latency: concurrent callers serialise here.
@@ -233,9 +232,8 @@ PredictionService::predict(const std::vector<MicroarchConfig> &queries)
         pool_.parallelFor(0, num_chunks, [&](std::size_t chunk) {
             const obs::TraceSpan chunkSpan(chunkStage_);
             const std::size_t begin = chunk * options_.chunk;
-            const std::size_t end =
-                std::min(begin + options_.chunk, queries.size());
-            computeRange(artifact, queries, rows, begin, end);
+            predictRange(begin,
+                         std::min(begin + options_.chunk, queries.size()));
         });
     }
 
@@ -364,9 +362,8 @@ PredictionService::serveDrained(ServeRequest *requests,
     // last such pin drops (serve/model_table.hh).
     const std::shared_ptr<const ModelTable> table = models_.table();
 
-    // Group requests by tenant (stable counting sort by tenant id) so
-    // each group runs its model's SIMD block kernels over contiguous
-    // feature rows.
+    // Group requests by tenant (stable sort by tenant id) so each
+    // group is one predictRows() call over contiguous feature rows.
     std::vector<std::uint32_t> order(count);
     for (std::uint32_t i = 0; i < count; ++i)
         order[i] = i;
@@ -376,10 +373,7 @@ PredictionService::serveDrained(ServeRequest *requests,
                      });
 
     std::vector<double> features;
-    std::vector<std::vector<double>> outs;
-    std::vector<double> soa(kNumParams * simd::kLanes);
-    BatchPredictScratch scratch;
-
+    std::vector<PredictionRow> rows;
     std::size_t groupBegin = 0;
     while (groupBegin < count) {
         const TenantId tenant = requests[order[groupBegin]].tenant;
@@ -388,63 +382,21 @@ PredictionService::serveDrained(ServeRequest *requests,
                requests[order[groupEnd]].tenant == tenant)
             ++groupEnd;
         const std::size_t n = groupEnd - groupBegin;
+        features.resize(n * kNumParams);
+        for (std::size_t i = 0; i < n; ++i) {
+            requests[order[groupBegin + i]].config.featuresInto(
+                &features[i * kNumParams]);
+        }
+        // A registered tenant with nothing published yet gets NaN rows
+        // stamped version 0 rather than a failed request.
         const ServedModel *served = table->modelFor(tenant);
-
-        if (served == nullptr) {
-            // Registered tenant, nothing published yet: answer NaN
-            // rows stamped version 0 rather than failing the request.
-            for (std::size_t g = groupBegin; g < groupEnd; ++g) {
-                const ServeRequest &req = requests[order[g]];
-                req.batch->rows_[req.index].values.fill(
-                    std::numeric_limits<double>::quiet_NaN());
-                req.batch->versions_[req.index] = 0;
-            }
-        } else {
-            features.resize(n * kNumParams);
-            for (std::size_t i = 0; i < n; ++i) {
-                const ServeRequest &req =
-                    requests[order[groupBegin + i]];
-                req.config.featuresInto(&features[i * kNumParams]);
-                req.batch->rows_[req.index].values.fill(
-                    std::numeric_limits<double>::quiet_NaN());
-                req.batch->versions_[req.index] = served->version;
-            }
-            // Full SIMD blocks transpose to feature-major once,
-            // shared across every metric's block kernel; the
-            // remainder takes the ordinary batch path. Bit-identical
-            // to predict() (the explorer uses the same tiling).
-            const auto &entries = served->artifact.entries();
-            outs.resize(entries.size());
-            for (auto &metricOut : outs)
-                metricOut.resize(n);
-            const std::size_t full = n - n % simd::kLanes;
-            for (std::size_t base = 0; base < full;
-                 base += simd::kLanes) {
-                simd::transposeBlock(features.data() +
-                                         base * kNumParams,
-                                     kNumParams, soa.data());
-                for (std::size_t k = 0; k < entries.size(); ++k) {
-                    entries[k].predictor.predictBlockSoaFromFeatures(
-                        soa.data(), outs[k].data() + base, scratch);
-                }
-            }
-            if (full < n) {
-                for (std::size_t k = 0; k < entries.size(); ++k) {
-                    entries[k].predictor.predictBatchFromFeatures(
-                        features.data() + full * kNumParams, n - full,
-                        outs[k].data() + full, scratch);
-                }
-            }
-            for (std::size_t k = 0; k < entries.size(); ++k) {
-                const auto metric =
-                    static_cast<std::size_t>(entries[k].metric);
-                for (std::size_t i = 0; i < n; ++i) {
-                    const ServeRequest &req =
-                        requests[order[groupBegin + i]];
-                    req.batch->rows_[req.index].values[metric] =
-                        outs[k][i];
-                }
-            }
+        rows.resize(n);
+        predictRows(served, features.data(), n, rows.data());
+        const std::uint64_t version = served ? served->version : 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const ServeRequest &req = requests[order[groupBegin + i]];
+            req.batch->rows_[req.index] = rows[i];
+            req.batch->versions_[req.index] = version;
         }
 
         if constexpr (obs::kEnabled)
@@ -485,40 +437,16 @@ PredictionService::recordBatch(std::size_t points,
     batchStage_.record(elapsedNs, 0);
     pointsServed_.add(points);
     batchPoints_.record(points);
-    lastBatchNs_.store(elapsedNs, std::memory_order_relaxed);
     if (options_.statsEveryBatches != 0 &&
         !options_.statsPath.empty() &&
         batchStage_.spans().value() % options_.statsEveryBatches == 0)
         dumpStats();
 }
 
-ServiceStats
-PredictionService::stats() const
-{
-    // Derived from the registry: exact, because Counter sums and the
-    // histogram's min/max/sum fields are exact (only the bucket
-    // boundaries are log-scaled).
-    ServiceStats out;
-    out.batches = batchStage_.spans().value();
-    out.points = pointsServed_.value();
-    out.requests = requestsAccepted_.value();
-    out.rejected = requestsShed_.value();
-    out.totalMs =
-        static_cast<double>(batchStage_.totalNs().value()) / 1e6;
-    out.lastMs = static_cast<double>(
-                     lastBatchNs_.load(std::memory_order_relaxed)) /
-                 1e6;
-    const obs::HistogramSnapshot spans = batchStage_.spanNs().read();
-    out.minMs = static_cast<double>(spans.min) / 1e6;
-    out.maxMs = static_cast<double>(spans.max) / 1e6;
-    return out;
-}
-
 void
 PredictionService::resetStats()
 {
     registry_.reset();
-    lastBatchNs_.store(0, std::memory_order_relaxed);
 }
 
 obs::Snapshot

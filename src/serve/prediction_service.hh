@@ -8,34 +8,39 @@
  * (cycles, energy, ED, EDD), stamped with the model version that
  * produced it.
  *
- * Request paths:
+ * One kernel, two entry points. Both request paths turn feature rows
+ * into rows of metric predictions through the same private
+ * predictRows(), which runs ArchitectureCentricPredictor::
+ * predictEnsembles -- the kernel the exploration engine also runs --
+ * so the two paths answer the same query bit-identically:
  *
- *  - predict(): the synchronous batch path. The caller's batch is
- *    split into fixed-size chunks and parallelFor()d across the
- *    service's ThreadPool; every chunk writes a disjoint slice of the
- *    result vector, which is both lock-free and bit-deterministic at
- *    any thread count.
+ *  - predict(): the synchronous batch path. A batch that fits in two
+ *    chunks, or any batch on a pool with no workers, runs inline on
+ *    the caller; larger batches are split into fixed-size chunks and
+ *    parallelFor()d across the service's ThreadPool. Every chunk
+ *    writes a disjoint slice of the result vector, which is both
+ *    lock-free and bit-deterministic at any thread count.
  *
  *  - submit()/AsyncBatch: the ingest path for many concurrent
  *    producers. Each request travels a bounded lock-free MPSC ring
- *    (serve/ring_buffer.hh) to a dedicated drainer thread that forms
- *    SIMD-sized batches and runs the vectorised block kernels
- *    (predictBlockSoaFromFeatures) -- bit-identical to predict() on
- *    the same model. A full ring fails submit() with
- *    SubmitStatus::QueueFull immediately (typed load-shedding, never
- *    unbounded queueing), counted under serve/shed.
+ *    (serve/ring_buffer.hh) to a dedicated drainer thread that groups
+ *    what it pops by tenant and predicts each group in one call. A
+ *    full ring fails submit() with SubmitStatus::QueueFull immediately
+ *    (typed load-shedding, never unbounded queueing).
  *
  * Hot swap: models live in a ModelRegistry (serve/model_table.hh).
  * publish() atomically replaces a tenant's model; batches in flight
  * finish on the snapshot they pinned, new batches see the new
  * version, and no request fails or blocks across the swap. Multiple
- * tenants map independently to models; per-tenant served-point
- * counters appear as serve/tenant/<name>/points.
+ * tenants map independently to models.
  *
- * Per-batch latency, lifetime throughput and per-request latency
- * (log2 histogram + exact-quantile reservoir) are kept so a
- * deployment can watch the serving path (ServiceStats,
- * bench/bench_serve_latency.cc).
+ * Stats: statsSnapshot() reads the service's private metrics registry
+ * -- serve/batch (one span per predict() batch), serve/chunk,
+ * serve/drain, serve/points, serve/requests, serve/shed, per-tenant
+ * serve/tenant/<name>/points and the per-request latency histogram
+ * and exact-quantile reservoir (bench/bench_serve_latency.cc). With
+ * ACDSE_OBS=OFF the instrumentation is compiled out: every name but
+ * the per-tenant ones is still present and reads zero.
  *
  * Environment knobs:
  *  - ACDSE_SERVE_THREADS  serving threads; unset falls through to the
@@ -78,14 +83,10 @@ struct ServeOptions
     /**
      * Query points per work unit. Small enough to balance load across
      * workers, large enough that the per-chunk claim is amortised away.
+     * A batch of at most two chunks runs inline on the caller: waking
+     * the pool costs more than the work itself.
      */
     std::size_t chunk = 64;
-    /**
-     * Batches at most this size are predicted inline on the calling
-     * thread: waking the pool costs more than the work itself.
-     */
-    std::size_t inlineBelow = 128;
-
     /**
      * Ingest ring capacity in requests (rounded up to a power of
      * two). A full ring rejects submit() with QueueFull -- size it
@@ -224,37 +225,6 @@ struct ServeRequest
 };
 
 /**
- * Snapshot of the service's serving counters, derived from the
- * service's private metrics registry (src/obs). With ACDSE_OBS=OFF the
- * instrumentation is compiled out and every field reads zero.
- */
-struct ServiceStats
-{
-    std::uint64_t batches = 0;  //!< batches served
-    std::uint64_t points = 0;   //!< query points served
-    std::uint64_t requests = 0; //!< async requests accepted
-    std::uint64_t rejected = 0; //!< async requests shed (QueueFull)
-    double totalMs = 0.0;       //!< summed batch latencies
-    double lastMs = 0.0;        //!< latency of the most recent batch
-    double minMs = 0.0;         //!< fastest batch so far
-    double maxMs = 0.0;         //!< slowest batch so far
-
-    /** Mean batch latency in milliseconds. */
-    double meanMs() const
-    {
-        return batches ? totalMs / static_cast<double>(batches) : 0.0;
-    }
-
-    /** Lifetime throughput in predicted points per second. */
-    double pointsPerSecond() const
-    {
-        return totalMs > 0.0
-                   ? static_cast<double>(points) / (totalMs / 1000.0)
-                   : 0.0;
-    }
-};
-
-/**
  * A running prediction server over versioned, hot-swappable model
  * artifacts.
  *
@@ -369,16 +339,12 @@ class PredictionService
      */
     std::size_t drainOnce();
 
-    /** Snapshot the serving counters. */
-    ServiceStats stats() const;
-
     /** Zero the serving counters (e.g. after a warm-up run). */
     void resetStats();
 
     /**
-     * Full snapshot of the service's private metrics registry:
-     * serve/batch, serve/chunk and serve/drain stages, serve/points
-     * and per-tenant counters, request-latency histogram + reservoir.
+     * Full snapshot of the service's private metrics registry (names
+     * in the file comment) -- the one way to read the serving stats.
      * Callers merge this with the global registry's snapshot for
      * export.
      */
@@ -395,11 +361,14 @@ class PredictionService
     void dumpStats() const;
 
   private:
-    /** Predict queries[begin, end) into rows with @p artifact. */
-    void computeRange(const ModelArtifact &artifact,
-                      const std::vector<MicroarchConfig> &queries,
-                      std::vector<PredictionRow> &rows,
-                      std::size_t begin, std::size_t end) const;
+    /**
+     * Predict @p n row-major feature rows into rows[0, n) with
+     * @p model: NaN for metrics its artifact lacks, and for every
+     * metric when @p model is null (a tenant with nothing published).
+     */
+    static void predictRows(const ServedModel *model,
+                            const double *features, std::size_t n,
+                            PredictionRow *rows);
 
     /** Fold one finished batch into the registry. */
     void recordBatch(std::size_t points, std::uint64_t elapsedNs);
@@ -434,7 +403,6 @@ class PredictionService
     obs::Histogram &queueWaitNs_;
     obs::Histogram &requestLatencyNs_;
     obs::Reservoir &latencyReservoir_;
-    std::atomic<std::uint64_t> lastBatchNs_{0};
 
     // The async ingest path: producers push, the drainer pops.
     MpscRing<ServeRequest> ring_;

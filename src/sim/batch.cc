@@ -52,8 +52,6 @@ DecodedTrace::DecodedTrace(const Trace &trace) : source_(&trace)
     }
 }
 
-#if !defined(ACDSE_NO_SIM_BATCH)
-
 namespace
 {
 
@@ -993,8 +991,6 @@ runGroup(std::span<const MicroarchConfig> configs,
 
 } // namespace
 
-#endif // !ACDSE_NO_SIM_BATCH
-
 void
 simulateBatch(std::span<const MicroarchConfig> configs,
               const DecodedTrace &trace, const SimulationOptions &options,
@@ -1003,14 +999,6 @@ simulateBatch(std::span<const MicroarchConfig> configs,
     ACDSE_CHECK(results.size() >= configs.size(),
                  "result span smaller than the config batch");
     const obs::TraceSpan span(obs::Registry::global(), "sim/batch");
-#if defined(ACDSE_NO_SIM_BATCH)
-    // Scalar shape: loop the reference implementation, still reusing
-    // the scratch's pipeline storage.
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        results[i] = simulate(configs[i], trace.source(), options,
-                              scratch.lanes[0].core);
-    }
-#else
     for (std::size_t first = 0; first < configs.size();
          first += kSimLanes) {
         const std::size_t n =
@@ -1018,7 +1006,6 @@ simulateBatch(std::span<const MicroarchConfig> configs,
         runGroup(configs.subspan(first, n), trace, options,
                  results.data() + first, scratch);
     }
-#endif
     std::uint64_t instructions = 0;
     for (std::size_t i = 0; i < configs.size(); ++i)
         instructions += results[i].stats.instructions;
@@ -1044,10 +1031,6 @@ simulateWithSimPointsBatch(std::span<const MicroarchConfig> configs,
                            const SimPointOptions &options)
 {
     std::vector<SampledResult> results(configs.size());
-#if defined(ACDSE_NO_SIM_BATCH)
-    for (std::size_t i = 0; i < configs.size(); ++i)
-        results[i] = simulateWithSimPoints(configs[i], trace, options);
-#else
     // One analysis serves every lane: simpointAnalyze() is a pure
     // function of (trace, options), so sharing it preserves
     // bit-identity with the scalar path, which recomputes it per
@@ -1105,7 +1088,6 @@ simulateWithSimPointsBatch(std::span<const MicroarchConfig> configs,
                                     static_cast<double>(trace.size());
         }
     }
-#endif
     return results;
 }
 
@@ -1114,10 +1096,6 @@ simulateWithSmartsBatch(std::span<const MicroarchConfig> configs,
                         const Trace &trace, const SmartsOptions &options)
 {
     std::vector<SampledResult> results(configs.size());
-#if defined(ACDSE_NO_SIM_BATCH)
-    for (std::size_t i = 0; i < configs.size(); ++i)
-        results[i] = simulateWithSmarts(configs[i], trace, options);
-#else
     ACDSE_CHECK(options.unitInstructions > 0, "empty measurement unit");
     ACDSE_CHECK(options.samplingPeriod > 0,
                  "sampling period must be >0");
@@ -1180,7 +1158,6 @@ simulateWithSmartsBatch(std::span<const MicroarchConfig> configs,
                                     static_cast<double>(trace.size());
         }
     }
-#endif
     return results;
 }
 

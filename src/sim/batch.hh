@@ -23,9 +23,7 @@
  * the doubles). This holds because lanes never interact -- each lane
  * executes exactly the scalar algorithm's operation sequence -- and the
  * shared tables in sim/core_ops.hh keep the two transcriptions from
- * drifting. Configure with -DACDSE_SIM_BATCH=OFF to collapse the batch
- * entry points to the scalar path (an escape hatch, not a numerics
- * switch).
+ * drifting.
  *
  * Observability: simulateBatch() runs under a "sim/batch" trace span
  * and feeds two counters -- "sim/instructions" (instructions committed
@@ -54,13 +52,8 @@
 namespace acdse
 {
 
-#if defined(ACDSE_NO_SIM_BATCH)
-/** Lane count (ACDSE_SIM_BATCH=OFF: scalar shape). */
-constexpr std::size_t kSimLanes = 1;
-#else
 /** Configurations replayed simultaneously per lane group. */
 constexpr std::size_t kSimLanes = 8;
-#endif
 
 /**
  * A trace decoded for replay: per-instruction properties the core

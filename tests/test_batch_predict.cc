@@ -231,8 +231,13 @@ fittedEnsemble(std::size_t num_models, double shift)
 TEST(BatchDeterminism, ArchCentricBatchMatchesScalar)
 {
     const ArchitectureCentricPredictor predictor = fittedEnsemble(4, 0.0);
+    const ArchitectureCentricPredictor other = fittedEnsemble(3, 0.5);
     const auto queries = DesignSpace::sampleValidConfigs(200, 29);
     const auto rows = featureRows(queries);
+    // The multi-metric kernel: one transpose per block shared by both
+    // ensembles, out[k * count + c] for ensemble k and point c.
+    const std::vector<const ArchitectureCentricPredictor *> ensembles{
+        &predictor, &other};
 
     BatchPredictScratch batch_scratch;
     PredictScratch scalar_scratch;
@@ -240,37 +245,68 @@ TEST(BatchDeterminism, ArchCentricBatchMatchesScalar)
         std::vector<double> out(count, -1.0);
         predictor.predictBatchFromFeatures(rows.data(), count, out.data(),
                                            batch_scratch);
+        std::vector<double> shared(ensembles.size() * count, -1.0);
+        ArchitectureCentricPredictor::predictEnsembles(
+            ensembles, rows.data(), count, shared.data(), batch_scratch);
         for (std::size_t c = 0; c < count; ++c) {
+            const auto features = queries[c].asFeatureVector();
             EXPECT_EQ(out[c],
-                      predictor.predictFromFeatures(
-                          queries[c].asFeatureVector(), scalar_scratch))
+                      predictor.predictFromFeatures(features,
+                                                    scalar_scratch))
                 << "batch " << count << " point " << c;
+            for (std::size_t k = 0; k < ensembles.size(); ++k) {
+                EXPECT_EQ(shared[k * count + c],
+                          ensembles[k]->predictFromFeatures(
+                              features, scalar_scratch))
+                    << "ensemble " << k << " batch " << count
+                    << " point " << c;
+            }
         }
     }
 }
 
 TEST(BatchDeterminism, ServiceMatchesScalarForEveryMetric)
 {
-    // All four served metrics go through the batched chunk path; each
-    // row value must equal the per-point scalar ensemble prediction,
-    // inline (single-thread) and chunked across the pool alike.
+    // Every served metric, on every request path, must equal the
+    // per-point scalar ensemble prediction: predict() inline (one
+    // thread) and chunked across the pool, and submit() on a
+    // two-tenant service whose second tenant serves a metric subset.
     ModelArtifact artifact;
     artifact.setTag("batch determinism");
     for (std::size_t m = 0; m < kNumMetrics; ++m) {
         artifact.add(static_cast<Metric>(m),
                      fittedEnsemble(3, 0.3 * static_cast<double>(m)));
     }
+    ModelArtifact subset;
+    subset.setTag("metric subset");
+    subset.add(Metric::Edd, fittedEnsemble(2, 1.1));
+    subset.add(Metric::Energy, fittedEnsemble(3, 0.8));
     const auto queries = DesignSpace::sampleValidConfigs(333, 57);
 
     std::vector<std::vector<PredictionRow>> runs;
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         ServeOptions options;
         options.threads = threads;
-        options.inlineBelow = threads > 1 ? 0 : queries.size();
         options.chunk = 64; // 333 points: full chunks plus a remainder
         PredictionService service(artifact, options);
         runs.push_back(service.predict(queries));
     }
+
+    ServeOptions options;
+    options.threads = 1;
+    PredictionService service(artifact, options);
+    const TenantId second = service.registerTenant("subset");
+    service.publish(second, subset);
+    AsyncBatch full(queries.size());
+    AsyncBatch partial(queries.size());
+    for (const auto &query : queries) {
+        ASSERT_EQ(service.submit(full, query), SubmitStatus::Accepted);
+        ASSERT_EQ(service.submit(partial, second, query),
+                  SubmitStatus::Accepted);
+    }
+    full.wait();
+    partial.wait();
+    runs.push_back(full.rows());
 
     PredictScratch scratch;
     for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -283,6 +319,18 @@ TEST(BatchDeterminism, ServiceMatchesScalarForEveryMetric)
                     << "point " << i << " metric "
                     << metricName(entry.metric);
             }
+        }
+        for (std::size_t m = 0; m < kNumMetrics; ++m) {
+            const auto metric = static_cast<Metric>(m);
+            const double got = partial.rows()[i].get(metric);
+            if (!subset.has(metric)) {
+                EXPECT_TRUE(std::isnan(got))
+                    << "point " << i << " metric " << metricName(metric);
+                continue;
+            }
+            EXPECT_EQ(got, subset.predictor(metric).predictFromFeatures(
+                               features, scratch))
+                << "point " << i << " metric " << metricName(metric);
         }
     }
 }

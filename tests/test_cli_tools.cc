@@ -26,6 +26,7 @@
 
 #include "json_reader.hh"
 #include "obs/metrics.hh"
+#include "scratch_dir.hh"
 
 namespace acdse
 {
@@ -70,14 +71,7 @@ run(const fs::path &dir, const std::string &command)
     return result;
 }
 
-fs::path
-freshDir(const std::string &name)
-{
-    const fs::path dir = fs::temp_directory_path() / name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
+using testscratch::freshDir;
 
 testjson::Value
 parseFile(const fs::path &path)

@@ -131,10 +131,10 @@ TEST(HotSwap, SwapUnderLoadIsLossFreeAndBitExact)
     swapper.join();
 
     // Zero requests failed or were shed across the swap.
-    const ServiceStats stats = service.stats();
+    const obs::Snapshot stats = service.statsSnapshot();
     if constexpr (obs::kEnabled) {
-        EXPECT_EQ(stats.requests, accepted);
-        EXPECT_EQ(stats.rejected, 0u);
+        EXPECT_EQ(stats.counters.at("serve/requests"), accepted);
+        EXPECT_EQ(stats.counters.at("serve/shed"), 0u);
     }
     EXPECT_TRUE(sawV1);
     EXPECT_TRUE(sawV2);
@@ -204,7 +204,7 @@ TEST(HotSwap, ChurnKeepsVersionsMonotonicPerProducer)
     EXPECT_EQ(failures.load(), 0);
     EXPECT_GT(service.currentVersion(), 1u);
     if constexpr (obs::kEnabled) {
-        EXPECT_EQ(service.stats().requests,
+        EXPECT_EQ(service.statsSnapshot().counters.at("serve/requests"),
                   static_cast<std::uint64_t>(kProducers) *
                       kRoundsPerProducer * kBatchSize);
     }

@@ -31,6 +31,7 @@
 #include "core/campaign.hh"
 #include "jobs/campaign_jobs.hh"
 #include "jobs/job_queue.hh"
+#include "scratch_dir.hh"
 
 namespace acdse
 {
@@ -46,14 +47,7 @@ using jobs::JobSpec;
 using jobs::JobState;
 using jobs::QueueSnapshot;
 
-fs::path
-freshDir(const std::string &name)
-{
-    const fs::path dir = fs::temp_directory_path() / name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
+using testscratch::freshDir;
 
 std::string
 readBytes(const fs::path &path)

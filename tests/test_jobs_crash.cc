@@ -34,6 +34,7 @@
 #include "base/journal.hh"
 #include "jobs/campaign_jobs.hh"
 #include "json_reader.hh"
+#include "scratch_dir.hh"
 
 namespace acdse
 {
@@ -67,14 +68,7 @@ run(const fs::path &dir, const std::string &command)
     return result;
 }
 
-fs::path
-freshDir(const std::string &name)
-{
-    const fs::path dir = fs::temp_directory_path() / name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
+using testscratch::freshDir;
 
 std::string
 readBytes(const fs::path &path)
@@ -125,7 +119,9 @@ findFile(const fs::path &dir, const std::string &prefix,
 
 /**
  * The uninterrupted single-worker reference run, built once per test
- * binary. Every fault-injection test byte-compares against this.
+ * process in that process's own scratch directory, so concurrent
+ * ctest processes never share it. Every fault-injection test
+ * byte-compares against this.
  */
 const fs::path &
 referenceDir()

@@ -104,8 +104,7 @@ TEST(PredictionService, ThreadPoolMatchesSingleThread)
 
     ServeOptions pooled;
     pooled.threads = 4;
-    pooled.chunk = 16;       // force many chunks
-    pooled.inlineBelow = 0;  // force the pool path
+    pooled.chunk = 16; // 700 points: many chunks, the pool path
     PredictionService service(artifact, pooled);
     EXPECT_EQ(service.poolThreads(), 3u);
 
@@ -144,13 +143,12 @@ TEST(PredictionService, BackToBackBatchesNeverDropChunks)
 
     ServeOptions churn;
     churn.threads = 8;
-    churn.chunk = 1;       // one point per claim: maximal hand-off churn
-    churn.inlineBelow = 0; // force the pool path even for tiny batches
+    churn.chunk = 1; // one point per claim: maximal hand-off churn
     PredictionService service(artifact, churn);
 
-    const auto all = DesignSpace::sampleValidConfigs(3, 7);
-    const std::vector<MicroarchConfig> queries(all.begin(),
-                                               all.begin() + 2);
+    // Three points: the smallest batch that exceeds two one-point
+    // chunks, so every round takes the pool path.
+    const auto queries = DesignSpace::sampleValidConfigs(3, 7);
     const auto expected = reference.predict(queries);
     for (int round = 0; round < 2000; ++round) {
         const auto rows = service.predict(queries);
@@ -170,8 +168,7 @@ TEST(PredictionService, CountersAddUp)
 {
     ServeOptions options;
     options.threads = 2;
-    options.inlineBelow = 0;
-    options.chunk = 8;
+    options.chunk = 8; // 100 points: 13 chunks, the pool path
     PredictionService service(twoMetricArtifact(), options);
 
     const auto queries = DesignSpace::sampleValidConfigs(100, 5);
@@ -181,22 +178,25 @@ TEST(PredictionService, CountersAddUp)
 
     // The counters are registry-backed (src/obs); an ACDSE_OBS=OFF
     // build compiles the instrumentation out and reads all zeros.
-    const ServiceStats stats = service.stats();
+    const obs::Snapshot stats = service.statsSnapshot();
+    const obs::StageSnapshot &batches = stats.stages.at("serve/batch");
+    const std::uint64_t points = stats.counters.at("serve/points");
     if constexpr (obs::kEnabled) {
-        EXPECT_EQ(stats.batches, 3u);
-        EXPECT_EQ(stats.points, 201u);
-        EXPECT_GT(stats.totalMs, 0.0);
-        EXPECT_GE(stats.maxMs, stats.minMs);
-        EXPECT_GT(stats.pointsPerSecond(), 0.0);
+        EXPECT_EQ(batches.count, 3u);
+        EXPECT_EQ(points, 201u);
+        EXPECT_GT(batches.totalNs, 0u);
+        EXPECT_GE(batches.spans.max, batches.spans.min);
+        EXPECT_GT(static_cast<double>(points) / batches.totalMs(), 0.0);
     } else {
-        EXPECT_EQ(stats.batches, 0u);
-        EXPECT_EQ(stats.points, 0u);
-        EXPECT_EQ(stats.totalMs, 0.0);
+        EXPECT_EQ(batches.count, 0u);
+        EXPECT_EQ(points, 0u);
+        EXPECT_EQ(batches.totalNs, 0u);
     }
 
     service.resetStats();
-    EXPECT_EQ(service.stats().batches, 0u);
-    EXPECT_EQ(service.stats().points, 0u);
+    const obs::Snapshot reset = service.statsSnapshot();
+    EXPECT_EQ(reset.stages.at("serve/batch").count, 0u);
+    EXPECT_EQ(reset.counters.at("serve/points"), 0u);
 }
 
 TEST(PredictionService, EmptyBatchIsANoOp)
@@ -205,7 +205,7 @@ TEST(PredictionService, EmptyBatchIsANoOp)
     options.threads = 2;
     PredictionService service(twoMetricArtifact(), options);
     EXPECT_TRUE(service.predict({}).empty());
-    EXPECT_EQ(service.stats().batches, 0u);
+    EXPECT_EQ(service.statsSnapshot().stages.at("serve/batch").count, 0u);
 }
 
 TEST(PredictionService, FromFileServesSavedArtifact)
@@ -272,9 +272,9 @@ TEST(PredictionService, AsyncPathMatchesSyncExactly)
         EXPECT_EQ(batch.versions()[i], 1u);
     }
     if constexpr (obs::kEnabled) {
-        const ServiceStats stats = service.stats();
-        EXPECT_EQ(stats.requests, queries.size());
-        EXPECT_EQ(stats.rejected, 0u);
+        const obs::Snapshot stats = service.statsSnapshot();
+        EXPECT_EQ(stats.counters.at("serve/requests"), queries.size());
+        EXPECT_EQ(stats.counters.at("serve/shed"), 0u);
     }
 }
 
@@ -302,11 +302,11 @@ TEST(PredictionService, QueueFullShedsTyped)
     EXPECT_EQ(batch.submitted(), kMinRingCapacity);
     EXPECT_EQ(batch.inFlight(), kMinRingCapacity);
 
-    // Rejections are observable (serve/shed) and stats()-visible.
+    // Rejections are observable as serve/shed in the stats snapshot.
     if constexpr (obs::kEnabled) {
-        const ServiceStats stats = service.stats();
-        EXPECT_EQ(stats.requests, kMinRingCapacity);
-        EXPECT_EQ(stats.rejected, 4u);
+        const obs::Snapshot stats = service.statsSnapshot();
+        EXPECT_EQ(stats.counters.at("serve/requests"), kMinRingCapacity);
+        EXPECT_EQ(stats.counters.at("serve/shed"), 4u);
     }
 
     // Draining makes room again: the shed requests can be resubmitted

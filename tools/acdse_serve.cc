@@ -426,21 +426,31 @@ main(int argc, char **argv)
         flush();
 
         if (cli.printStats) {
-            const ServiceStats stats = service.stats();
-            std::fprintf(stderr,
-                         "stats: %llu batches, %llu points, "
-                         "mean %.3f ms/batch (min %.3f, max %.3f), "
-                         "%.0f points/s\n",
-                         static_cast<unsigned long long>(stats.batches),
-                         static_cast<unsigned long long>(stats.points),
-                         stats.meanMs(), stats.minMs, stats.maxMs,
-                         stats.pointsPerSecond());
+            const obs::Snapshot stats = service.statsSnapshot();
+            const obs::StageSnapshot &batches =
+                stats.stages.at("serve/batch");
+            const std::uint64_t points = stats.counters.at("serve/points");
+            const double totalMs = batches.totalMs();
+            std::fprintf(
+                stderr,
+                "stats: %llu batches, %llu points, "
+                "mean %.3f ms/batch (min %.3f, max %.3f), "
+                "%.0f points/s\n",
+                static_cast<unsigned long long>(batches.count),
+                static_cast<unsigned long long>(points),
+                batches.spans.mean() / 1e6,
+                static_cast<double>(batches.spans.min) / 1e6,
+                static_cast<double>(batches.spans.max) / 1e6,
+                totalMs > 0.0 ? static_cast<double>(points) / (totalMs / 1e3)
+                              : 0.0);
             if (asyncMode) {
                 std::fprintf(
                     stderr,
                     "async: %llu accepted, %llu shed, p99 %.3f ms\n",
-                    static_cast<unsigned long long>(stats.requests),
-                    static_cast<unsigned long long>(stats.rejected),
+                    static_cast<unsigned long long>(
+                        stats.counters.at("serve/requests")),
+                    static_cast<unsigned long long>(
+                        stats.counters.at("serve/shed")),
                     service.requestLatencyQuantileMs(0.99));
             }
         }

@@ -206,13 +206,17 @@ main(int argc, char **argv)
         actual.push_back(
             campaign.result(target_row, eval_idx[i]).cycles);
     }
-    const ServiceStats stats = service.stats();
+    // The service has served exactly this one batch.
+    const obs::Snapshot served = service.statsSnapshot();
+    const double batchMs = served.stages.at("serve/batch").totalMs();
+    const auto points =
+        static_cast<double>(served.counters.at("serve/points"));
     std::printf("served %zu held-out points: cycles rmae %.1f%%, "
                 "correlation %.3f, batch latency %.2f ms (%.0f "
                 "points/s)\n",
                 probes.size(), stats::rmae(predicted, actual),
-                stats::correlation(predicted, actual), stats.lastMs,
-                stats.pointsPerSecond());
+                stats::correlation(predicted, actual), batchMs,
+                batchMs > 0.0 ? points / (batchMs / 1e3) : 0.0);
     if (!cli.statsOut.empty()) {
         // The global registry carries campaign/train/fit/pool metrics;
         // the service's private registry carries the serve/ ones.
