@@ -28,6 +28,16 @@
 namespace acdse
 {
 
+/**
+ * Whether the MLP activation is fastTanh (the default) or std::tanh
+ * exactly (configure with -DACDSE_FAST_TANH=OFF).
+ */
+#ifdef ACDSE_NO_FAST_TANH
+inline constexpr bool kFastTanh = false;
+#else
+inline constexpr bool kFastTanh = true;
+#endif
+
 namespace detail
 {
 
@@ -84,7 +94,13 @@ tanhTable()
     return segments;
 }
 
-/** Out-of-line |x| >= 4 tail of fastTanh (rare for trained networks). */
+/**
+ * Beyond this magnitude tanh rounds to +/-1 in double precision, and
+ * both the scalar and the packed tail saturate.
+ */
+constexpr double kTanhSaturate = 19.0625;
+
+/** Out-of-line |x| >= 4 tail of fastTanh: the libm-exp identity. */
 double fastTanhTail(double x);
 
 } // namespace detail
@@ -92,13 +108,19 @@ double fastTanhTail(double x);
 /**
  * tanh(x) to ~5e-9 absolute accuracy over all of R.
  *
- * |x| < 4 (99.9% of trained-network pre-activations) is served from a
- * 256-interval cubic Hermite table built from std::tanh at first use
- * (step 1/64, a power of two, so the segment lookup is a multiply,
- * not a divide); larger magnitudes fall back to the exact identity
- * tanh(x) = (1 - e^{-2|x|}) / (1 + e^{-2|x|}), and |x| >= 19.0625
- * saturates to +/-1 (tanh is 1 to double precision there). Odd
- * symmetry is exact: fastTanh(-x) == -fastTanh(x).
+ * |x| < 4 is served from a 256-interval cubic Hermite table built from
+ * std::tanh at first use (step 1/64, a power of two, so the segment
+ * lookup is a multiply, not a divide); larger magnitudes fall back to
+ * the exact identity tanh(x) = (1 - e^{-2|x|}) / (1 + e^{-2|x|}), and
+ * |x| >= 19.0625 saturates to +/-1 (tanh is 1 to double precision
+ * there). Odd symmetry is exact: fastTanh(-x) == -fastTanh(x).
+ *
+ * The tail is not rare. Over the training runs of the pipebench
+ * workloads (real campaign rows, T = 128 and 512), 37-69% of the
+ * pre-activations lie outside the table (weights grow as SGD sharpens
+ * the fit), and 36-45% of all of them take the exp identity rather
+ * than saturating. This scalar function is the reference;
+ * fastTanhChunk below serves the tail packed, with the same bits.
  */
 inline double
 fastTanh(double x)
@@ -115,13 +137,14 @@ fastTanh(double x)
     return detail::fastTanhTail(x);
 }
 
-#ifdef ACDSE_SIMD_VECTOR
-
 namespace detail
 {
 
 /** Integer view of a Chunk for IEEE sign-bit manipulation. */
 typedef std::int64_t ChunkBits
+    __attribute__((vector_size(sizeof(simd::Chunk))));
+/** Unsigned view of a Chunk, for logical shifts of its bits. */
+typedef std::uint64_t ChunkUBits
     __attribute__((vector_size(sizeof(simd::Chunk))));
 /** One int32 per chunk lane, for the segment indices. */
 typedef std::int32_t ChunkIdx
@@ -169,63 +192,156 @@ gatherSegments(const ChunkIdx k, V &fv, V &dv, V &c2v, V &c3v)
     }
 }
 
+/** The table interpolant per lane; every lane must hold 0 <= ax < 4. */
+inline simd::Chunk
+tanhTableChunk(simd::Chunk ax)
+{
+    const simd::Chunk u = ax * kTanhInvStep;
+    const ChunkIdx k = __builtin_convertvector(u, ChunkIdx);
+    const simd::Chunk t =
+        (u - __builtin_convertvector(k, simd::Chunk)) * kTanhStep;
+    simd::Chunk fv;
+    simd::Chunk dv;
+    simd::Chunk c2v;
+    simd::Chunk c3v;
+    gatherSegments(k, fv, dv, c2v, c3v);
+    return fv + t * (dv + t * (c2v + t * c3v));
+}
+
+constexpr std::size_t kExp2Steps = 64;
+
+/** exp2(j / 64) for j in [0, 64), built at first use like tanhTable(). */
+inline const std::array<double, kExp2Steps> &
+exp2Table()
+{
+    static const std::array<double, kExp2Steps> table = [] {
+        std::array<double, kExp2Steps> t{};
+        for (std::size_t j = 0; j < kExp2Steps; ++j)
+            t[j] = std::exp2(static_cast<double>(j) /
+                             static_cast<double>(kExp2Steps));
+        return t;
+    }();
+    return table;
+}
+
+/**
+ * exp(-2 ax) per lane for 4 <= ax < 19.0625: -2 ax = (64 m + j) ln2/64
+ * + r with |r| <= ln2/128, so the result is 2^m * exp2(j/64) *
+ * (1 + q(r)), q the degree-5 Taylor polynomial of exp(r) - 1.
+ * Measured over 10M arguments of that range, it lies within 1.3 ulp of
+ * the true value and within 1 ulp of glibc's exp (itself within 0.51
+ * ulp). Other lanes return garbage but stay memory-safe (the table
+ * index is masked to 6 bits).
+ */
+inline simd::Chunk
+expNeg2Chunk(simd::Chunk ax)
+{
+    // 1.5 * 2^52: adding it rounds to an integer held in the low
+    // mantissa bits (Cody-Waite reduction); ln2/64 split so n * hi is
+    // exact for every n this range produces.
+    constexpr double kShift = 0x1.8p52;
+    constexpr double kInvLn2x64 = 0x1.71547652b82fep6;
+    constexpr double kLn2By64Hi = 0x1.62e42fee00000p-7;
+    constexpr double kLn2By64Lo = 0x1.a39ef35793c76p-39;
+    constexpr std::uint64_t kShiftBits = 0x4338000000000000ULL;
+    constexpr std::uint64_t kBias = 64 * 1023;
+    const simd::Chunk y = ax * -2.0;
+    const simd::Chunk kn = y * kInvLn2x64 + kShift;
+    const simd::Chunk n = kn - kShift;
+    const simd::Chunk r = (y - n * kLn2By64Hi) - n * kLn2By64Lo;
+    // u = n + 64 * 1023 > 0, so u >> 6 = m + 1023 (the biased exponent
+    // of 2^m) and u & 63 = j, with logical shifts only.
+    const ChunkUBits u = (ChunkUBits)kn - (kShiftBits - kBias);
+    const auto scale = (simd::Chunk)((u >> 6) << 52);
+    simd::Chunk tj;
+    for (std::size_t l = 0; l < simd::kChunkLanes; ++l)
+        tj[l] = exp2Table()[u[l] & (kExp2Steps - 1)];
+    const simd::Chunk q =
+        r * (1.0 + r * (1.0 / 2 +
+                        r * (1.0 / 6 + r * (1.0 / 24 + r * (1.0 / 120)))));
+    return (tj + tj * q) * scale;
+}
+
+/** Per-lane select: a where the mask lane is all-ones, else b. */
+inline simd::Chunk
+chunkSelect(ChunkBits mask, simd::Chunk a, simd::Chunk b)
+{
+    return (simd::Chunk)((mask & (ChunkBits)a) | (~mask & (ChunkBits)b));
+}
+
+/** True if every lane of the comparison mask is set. */
+inline bool
+allLanes(ChunkBits mask)
+{
+    std::int64_t all = mask[0];
+    for (std::size_t l = 1; l < simd::kChunkLanes; ++l)
+        all &= mask[l];
+    return all != 0;
+}
+
 } // namespace detail
 
 /**
  * fastTanh on one machine vector, element-wise identical to the scalar
- * function (enforced by tests/test_fast_math.cc): when every lane is
- * on the table, each step (abs, scale, truncate, interpolate,
- * copysign) is the per-lane IEEE operation the scalar path performs,
- * just issued packed, so the batch kernels' activations never leave
- * vector registers; if any lane is off-table (or NaN) the whole chunk
- * takes the scalar function per lane. Only the table lookups stay
- * scalar -- the baseline ISA has no gather.
+ * function (enforced by tests/test_fast_math.cc).
+ *
+ * Table lanes (|x| < 4) run each step of the scalar interpolant (abs,
+ * scale, truncate, interpolate, copysign) as the per-lane IEEE
+ * operation, issued packed; only the segment lookups stay scalar --
+ * the baseline ISA has no gather. Saturated lanes (|x| >= 19.0625,
+ * infinities included) return copysign(1, x), as the scalar tail does.
+ *
+ * Exp-tail lanes compute e ~ exp(-2|x|) packed (expNeg2Chunk, at most
+ * 2 ulp from libm's exp by the two error bounds, 1 ulp measured) and
+ * keep (1 - e) / (1 + e) only where that is provably what libm's e
+ * gives: 1 - e and 1 + e must each round to one double across all of
+ * e * (1 +/- 2^-47), an interval 16 times wider than the error bound.
+ * Rounding is monotonic, so libm's e, which lies inside it, rounds
+ * both terms to those same doubles and the quotient is bit-equal.
+ * Lanes that fail the check (~0.2% of tail arguments, those whose
+ * 1 +/- e sits next to a rounding boundary) and NaN lanes take scalar
+ * fastTanh.
  */
 inline simd::Chunk
 fastTanhChunk(simd::Chunk x)
 {
     using detail::ChunkBits;
-    using detail::ChunkIdx;
-    using detail::kTanhInvStep;
-    using detail::kTanhStep;
-    using detail::kTanhTableLimit;
-    constexpr std::size_t n = simd::kChunkLanes;
-    ChunkBits signBit;
-    simd::Chunk limit;
-    for (std::size_t l = 0; l < n; ++l) {
-        signBit[l] = INT64_MIN;
-        limit[l] = kTanhTableLimit;
-    }
-    const auto ax =
-        (simd::Chunk)((ChunkBits)x & ~signBit); // |x| per lane
-    // Lane-wise ax < limit yields all-ones/all-zero int lanes; NaN
-    // compares false, routing the chunk to the scalar tail like the
-    // scalar function's own branch.
-    const ChunkBits in = ax < limit;
-    std::int64_t all = in[0];
-    for (std::size_t l = 1; l < n; ++l)
-        all &= in[l];
-    if (all) [[likely]] {
-        const simd::Chunk u = ax * kTanhInvStep;
-        const ChunkIdx k = __builtin_convertvector(u, ChunkIdx);
-        const simd::Chunk t =
-            (u - __builtin_convertvector(k, simd::Chunk)) * kTanhStep;
-        simd::Chunk fv;
-        simd::Chunk dv;
-        simd::Chunk c2v;
-        simd::Chunk c3v;
-        detail::gatherSegments(k, fv, dv, c2v, c3v);
-        const simd::Chunk p = fv + t * (dv + t * (c2v + t * c3v));
-        // copysign(p, x) per lane: p's magnitude, x's sign bit.
-        return (simd::Chunk)(((ChunkBits)p & ~signBit) |
+    const ChunkBits signBit = (ChunkBits)simd::chunkBroadcast(-0.0);
+    const auto ax = (simd::Chunk)((ChunkBits)x & ~signBit); // |x|
+    const auto withSign = [&](simd::Chunk magnitude) {
+        // copysign(magnitude, x) per lane.
+        return (simd::Chunk)(((ChunkBits)magnitude & ~signBit) |
                              ((ChunkBits)x & signBit));
-    }
-    simd::Chunk r;
-    for (std::size_t l = 0; l < n; ++l)
-        r[l] = fastTanh(x[l]);
-    return r;
-}
+    };
+    // Lane-wise compares yield all-ones/all-zero int lanes; NaN
+    // compares false everywhere, so it is never "done".
+    const ChunkBits onTable =
+        ax < simd::chunkBroadcast(detail::kTanhTableLimit);
+    if (detail::allLanes(onTable)) [[likely]]
+        return withSign(detail::tanhTableChunk(ax));
 
-#endif // ACDSE_SIMD_VECTOR
+    // Off-table lanes index the table at 0 (their value is discarded).
+    const simd::Chunk tableAx =
+        detail::chunkSelect(onTable, ax, simd::chunkBroadcast(0.0));
+    const ChunkBits saturated =
+        ax >= simd::chunkBroadcast(detail::kTanhSaturate);
+    const simd::Chunk e = detail::expNeg2Chunk(ax);
+    const simd::Chunk lo = e * (1.0 - 0x1p-47);
+    const simd::Chunk hi = e * (1.0 + 0x1p-47);
+    const ChunkBits verified =
+        ((1.0 - lo) == (1.0 - hi)) & ((1.0 + lo) == (1.0 + hi));
+    simd::Chunk p = detail::chunkSelect(
+        onTable, detail::tanhTableChunk(tableAx),
+        detail::chunkSelect(saturated, simd::chunkBroadcast(1.0),
+                            (1.0 - e) / (1.0 + e)));
+    p = withSign(p);
+    const ChunkBits done = onTable | saturated | verified;
+    if (!detail::allLanes(done)) [[unlikely]] {
+        for (std::size_t l = 0; l < simd::kChunkLanes; ++l)
+            if (!done[l])
+                p[l] = fastTanh(x[l]);
+    }
+    return p;
+}
 
 } // namespace acdse

@@ -1,33 +1,35 @@
 /**
  * @file
- * Portable fixed-width lane kernels for batched model inference.
+ * Portable fixed-width lane kernels for the MLP: batched inference and
+ * training.
  *
- * The batched predict path vectorises *across design points*: a block
- * of kLanes points travels through the network together, one point per
- * lane, with every feature-loop iteration applying the same operation
- * to all lanes. Because each lane performs exactly the scalar path's
- * operation sequence (same additions, in the same order, on the same
- * values), batched results are bit-identical to per-point prediction
- * -- vectorisation is a scheduling decision, never a numerical one,
- * matching the thread-pool determinism contract.
+ * Both use the lanes for independent copies of one scalar operation
+ * sequence, never to reassociate one.
  *
- * On GCC and Clang the kernels work in Chunk, a compiler
- * vector-extension type of machine-register width (SSE2 xmm, NEON q):
- * element i of a vector multiply/add is the *same* IEEE operation the
- * scalar path performs, so the bit-exact contract is unaffected, and
- * an explicit vector type pins the codegen the design depends on --
- * accumulators stay in registers across a whole dot product, one
- * packed op per chunk. (Plain fixed-trip loops express the same
- * thing, but the autovectoriser is free to transpose the loop nest
- * into a shuffle-heavy form slower than scalar code.) Other compilers
- * fall back to plain per-lane loops with identical element-wise
- * semantics.
+ * - Batched predict vectorises *across design points*: a block of
+ *   kLanes points travels through the network together, one point per
+ *   lane, with every feature-loop iteration applying the same
+ *   operation to all lanes.
+ * - Training vectorises *across hidden neurons*: the weights are held
+ *   input-major, so one SGD step's pre-activations, tanh, deltas and
+ *   momentum updates run one neuron per lane (see Mlp::trainScaled).
  *
- * Configure with -DACDSE_SIMD=OFF (which defines ACDSE_NO_SIMD) to
- * collapse the lane width to 1; the batch APIs keep working and, by
- * the bit-exact contract, keep returning the same doubles -- the
- * switch is an escape hatch for compilers that mis-handle the wide
- * kernels, not a numerics knob.
+ * Because each lane performs exactly the scalar path's operation
+ * sequence (same additions, in the same order, on the same values),
+ * results are bit-identical to the scalar definition -- vectorisation
+ * is a scheduling decision, never a numerical one, matching the
+ * thread-pool determinism contract.
+ *
+ * The kernels work in Chunk, a GCC/Clang vector-extension type of
+ * machine-register width (SSE2 xmm, NEON q): element i of a vector
+ * multiply/add is the *same* IEEE operation the scalar path performs,
+ * so the bit-exact contract is unaffected, and an explicit vector type
+ * pins the codegen the design depends on -- accumulators stay in
+ * registers across a whole dot product, one packed op per chunk.
+ * (Plain fixed-trip loops express the same thing, but the
+ * autovectoriser is free to transpose the loop nest into a
+ * shuffle-heavy form slower than scalar code.) GCC and Clang are the
+ * only supported compilers; others are rejected at compile time.
  *
  * Why lanes win even without wide registers: the scalar dot product
  * `acc += w[i] * x[i]` is a serial dependency chain through acc, so a
@@ -44,26 +46,20 @@
 namespace acdse::simd
 {
 
-#ifdef ACDSE_NO_SIMD
-/** Lane width with SIMD disabled: scalar-shaped batch kernels. */
-inline constexpr std::size_t kLanes = 1;
+#if defined(__GNUC__) || defined(__clang__)
+inline constexpr bool kVectorExtensions = true;
 #else
+inline constexpr bool kVectorExtensions = false;
+#endif
+static_assert(kVectorExtensions,
+              "base/simd.hh needs the GCC/Clang vector extensions");
+
 /**
  * Points per batch block: 8 doubles = four SSE2 / two AVX2 vectors,
  * enough independent chains to hide FP-add latency without spilling
  * the accumulator block out of registers.
  */
 inline constexpr std::size_t kLanes = 8;
-#endif
-
-#if !defined(ACDSE_NO_SIMD) && (defined(__GNUC__) || defined(__clang__))
-
-/**
- * Defined when the vector-extension Chunk type below is available;
- * kernels key off this to pick the chunk-wise implementation (see
- * ml/mlp.cc and the block activation in base/fast_math.hh).
- */
-#define ACDSE_SIMD_VECTOR 1
 
 /**
  * One machine vector of doubles. 16 bytes is the portable native
@@ -115,8 +111,6 @@ chunkBroadcast(double v)
         c[l] = v;
     return c;
 }
-
-#endif // vector-extension path
 
 /**
  * Transpose one block of @p kLanes row-major points (point l starts at

@@ -17,22 +17,79 @@ namespace acdse
 namespace
 {
 
-// The one activation function, shared by the scalar and batched
-// forward passes so they are bit-identical by construction. fastTanh
-// keeps the serving hot path off libm's ~20 ns tanh; its ~5e-9
-// absolute error is far below the network's own fit error, and
+using simd::Chunk;
+constexpr std::size_t kW = simd::kChunkLanes;
+
+// The one activation function, shared by training, the scalar and the
+// batched forward passes so they are bit-identical by construction.
+// fastTanh keeps the serving hot path off libm's ~20 ns tanh; its
+// ~5e-9 absolute error is far below the network's own fit error, and
 // training uses the same activation so the model is consistent with
 // its own inference. Note the numerics differ from a pure-libm build
 // (error amplified over training epochs); configure with
-// -DACDSE_FAST_TANH=OFF to stay on std::tanh exactly.
-inline double
-activation(double x)
+// -DACDSE_FAST_TANH=OFF (kFastTanh) to stay on std::tanh exactly.
+// Every lane of the result is the scalar activation of that lane.
+inline Chunk
+activation(Chunk x)
 {
-#ifdef ACDSE_NO_FAST_TANH
-    return std::tanh(x);
-#else
-    return fastTanh(x);
-#endif
+    if constexpr (kFastTanh)
+        return fastTanhChunk(x);
+    for (std::size_t l = 0; l < kW; ++l)
+        x[l] = std::tanh(x[l]);
+    return x;
+}
+
+// The training kernels are free functions over __restrict-qualified
+// raw pointers, like forwardBlockKernel below. Each chunk op is
+// element-wise IEEE arithmetic: every lane is one neuron performing
+// the scalar definition's operations, in its order.
+
+/** Pre-activations of @p x into @p acc: bias, then inputs ascending. */
+void
+preActivations(const double *__restrict w, std::size_t hp, std::size_t d,
+               const double *__restrict x, double *__restrict acc)
+{
+    for (std::size_t c = 0; c < hp; c += kW) {
+        Chunk a = simd::chunkLoad(w + c);
+        for (std::size_t i = 0; i < d; ++i)
+            a += simd::chunkLoad(w + (i + 1) * hp + c) * x[i];
+        simd::chunkStore(acc + c, a);
+    }
+}
+
+/**
+ * One SGD step's hidden-layer momentum update, for input row @p x and
+ * per-neuron step lr * delta in @p lrd, fused with the next step's
+ * pre-activations of @p xn into @p acc. A weight is final as soon as
+ * it is updated, so it is read straight back into the next
+ * pre-activation, in the scalar order: bias first, then inputs
+ * ascending.
+ */
+void
+updateAndPreActivate(double *__restrict w, double *__restrict vel,
+                     std::size_t hp, std::size_t d,
+                     const double *__restrict lrd, double momentum,
+                     const double *__restrict x,
+                     const double *__restrict xn, double *__restrict acc)
+{
+    const Chunk m = simd::chunkBroadcast(momentum);
+    for (std::size_t c = 0; c < hp; c += kW) {
+        const Chunk g = simd::chunkLoad(lrd + c);
+        Chunk v = m * simd::chunkLoad(vel + c) - g;
+        Chunk wt = simd::chunkLoad(w + c) + v;
+        simd::chunkStore(vel + c, v);
+        simd::chunkStore(w + c, wt);
+        Chunk a = wt;
+        for (std::size_t i = 0; i < d; ++i) {
+            const std::size_t at = (i + 1) * hp + c;
+            v = m * simd::chunkLoad(vel + at) - g * x[i];
+            wt = simd::chunkLoad(w + at) + v;
+            simd::chunkStore(vel + at, v);
+            simd::chunkStore(w + at, wt);
+            a += wt * xn[i];
+        }
+        simd::chunkStore(acc + c, a);
+    }
 }
 
 } // namespace
@@ -83,80 +140,140 @@ void
 Mlp::trainScaled(const std::vector<std::vector<double>> &xz,
                  const std::vector<double> &yz, double rate)
 {
+    // Stochastic back-propagation with momentum. Per sample, in the
+    // scalar definition's order: forward pass, clipped error, output
+    // velocities, hidden deltas (from the pre-update output weights)
+    // and hidden updates, then the output weights. The hidden layer
+    // runs one neuron per lane; the output sum stays a scalar loop in
+    // neuron order.
+    //
+    // The hidden layer is held input-major: row 0 holds the neuron
+    // biases, row 1 + i the weights of input i, each row hp values
+    // wide (the neuron count rounded up to whole chunks). Padding
+    // lanes start at zero and stay exactly zero: their output weight
+    // is zero, so their delta, velocity and pre-activation are too.
     const std::size_t h = static_cast<std::size_t>(options_.hiddenNeurons);
+    const std::size_t d = inputDim_;
+    const std::size_t n = yz.size();
     Rng rng(options_.seed);
-    const double init = 1.0 / std::sqrt(static_cast<double>(inputDim_ + 1));
-    hiddenWeights_.assign(h * (inputDim_ + 1), 0.0);
+    const double init = 1.0 / std::sqrt(static_cast<double>(d + 1));
+    hiddenWeights_.assign(h * (d + 1), 0.0);
     for (auto &w : hiddenWeights_)
         w = rng.nextDouble(-init, init);
     outputWeights_.assign(h + 1, 0.0);
     const double out_init = 1.0 / std::sqrt(static_cast<double>(h + 1));
     for (auto &w : outputWeights_)
         w = rng.nextDouble(-out_init, out_init);
-    std::vector<double> hidden(h, 0.0);
 
-    std::vector<double> hidden_vel(hiddenWeights_.size(), 0.0);
-    std::vector<double> output_vel(outputWeights_.size(), 0.0);
-    std::vector<std::size_t> order(xz.size());
+    const std::size_t hp = (h + kW - 1) / kW * kW;
+    std::vector<double> hw((d + 1) * hp, 0.0);
+    std::vector<double> hv((d + 1) * hp, 0.0);
+    for (std::size_t j = 0; j < h; ++j) {
+        hw[j] = hiddenWeights_[j * (d + 1) + d];
+        for (std::size_t i = 0; i < d; ++i)
+            hw[(i + 1) * hp + j] = hiddenWeights_[j * (d + 1) + i];
+    }
+    // Output weights and velocities padded like a hidden-layer row,
+    // with the output bias kept apart.
+    std::vector<double> wo(hp, 0.0);
+    std::vector<double> vo(hp, 0.0);
+    std::copy(outputWeights_.begin(), outputWeights_.begin() + h,
+              wo.begin());
+    double wob = outputWeights_[h];
+    double vob = 0.0;
+    std::vector<double> acc(hp);
+    std::vector<double> act(hp);
+    std::vector<double> lrd(hp);
+
+    // The epoch order is drawn one epoch ahead so the last step of an
+    // epoch can fuse with the first of the next; the RNG draws only
+    // for shuffles here, so the draws are the same.
+    std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), 0);
+    rng.shuffle(order);
+    std::vector<std::size_t> next;
+    preActivations(hw.data(), hp, d, xz[order[0]].data(), acc.data());
 
+    const double momentum = options_.momentum;
+    const Chunk m = simd::chunkBroadcast(momentum);
     double lr = rate;
     for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-        rng.shuffle(order);
-        for (std::size_t idx : order) {
-            const auto &x = xz[idx];
-            const double pred = forwardScaled(x, &hidden);
+        const bool last_epoch = epoch + 1 == options_.epochs;
+        if (!last_epoch) {
+            next = order;
+            rng.shuffle(next);
+        }
+        const Chunk lrc = simd::chunkBroadcast(lr);
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::size_t s = order[k];
+            const std::size_t sn = k + 1 < n       ? order[k + 1]
+                                   : !last_epoch ? next[0]
+                                                 : s;
+            double pred = wob;
+            for (std::size_t c = 0; c < hp; c += kW)
+                simd::chunkStore(&act[c],
+                                 activation(simd::chunkLoad(&acc[c])));
+            for (std::size_t j = 0; j < h; ++j)
+                pred += wo[j] * act[j];
             // Clip the error signal: targets are z-scored, so anything
             // beyond a few sigma indicates a transient blow-up that
             // must not be amplified through the momentum terms.
-            const double err =
-                std::clamp(pred - yz[idx], -5.0, 5.0);
+            const double err = std::clamp(pred - yz[s], -5.0, 5.0);
 
-            // Output-layer gradient: dE/dw_o = err * [hidden; 1].
-            for (std::size_t j = 0; j < h; ++j) {
-                const double g = err * hidden[j];
-                output_vel[j] = options_.momentum * output_vel[j] - lr * g;
+            // Output velocity: dE/dw_o = err * [hidden; 1]. Hidden
+            // delta through tanh': err * w_oj * (1 - hidden_j^2).
+            for (std::size_t c = 0; c < hp; c += kW) {
+                const Chunk a = simd::chunkLoad(&act[c]);
+                simd::chunkStore(&vo[c], m * simd::chunkLoad(&vo[c]) -
+                                             lrc * (err * a));
+                const Chunk delta =
+                    err * simd::chunkLoad(&wo[c]) * (1.0 - a * a);
+                simd::chunkStore(&lrd[c], lrc * delta);
             }
-            output_vel[h] = options_.momentum * output_vel[h] - lr * err;
-
-            // Hidden-layer gradient through tanh':
-            // delta_j = err * w_oj * (1 - hidden_j^2).
-            for (std::size_t j = 0; j < h; ++j) {
-                const double delta = err * outputWeights_[j] *
-                                     (1.0 - hidden[j] * hidden[j]);
-                double *row = &hiddenWeights_[j * (inputDim_ + 1)];
-                double *vel = &hidden_vel[j * (inputDim_ + 1)];
-                for (std::size_t i = 0; i < inputDim_; ++i) {
-                    vel[i] = options_.momentum * vel[i] -
-                             lr * delta * x[i];
-                    row[i] += vel[i];
-                }
-                vel[inputDim_] =
-                    options_.momentum * vel[inputDim_] - lr * delta;
-                row[inputDim_] += vel[inputDim_];
-            }
-            for (std::size_t j = 0; j <= h; ++j)
-                outputWeights_[j] += output_vel[j];
+            vob = momentum * vob - lr * err;
+            updateAndPreActivate(hw.data(), hv.data(), hp, d,
+                                 lrd.data(), momentum, xz[s].data(),
+                                 xz[sn].data(), acc.data());
+            for (std::size_t c = 0; c < hp; c += kW)
+                simd::chunkStore(&wo[c], simd::chunkLoad(&wo[c]) +
+                                             simd::chunkLoad(&vo[c]));
+            wob += vob;
         }
         lr *= options_.lrDecay;
+        order.swap(next);
     }
+
+    for (std::size_t j = 0; j < h; ++j) {
+        hiddenWeights_[j * (d + 1) + d] = hw[j];
+        for (std::size_t i = 0; i < d; ++i)
+            hiddenWeights_[j * (d + 1) + i] = hw[(i + 1) * hp + j];
+        outputWeights_[j] = wo[j];
+    }
+    outputWeights_[h] = wob;
 }
 
 double
-Mlp::forwardScaled(const std::vector<double> &xz,
-                   std::vector<double> *hidden) const
+Mlp::forwardScaled(const double *xz) const
 {
+    // Neurons in groups of one chunk: each lane's pre-activation is
+    // the scalar dot product (bias, then inputs ascending), the group
+    // shares one batched activation, and the output sum stays in
+    // neuron order.
     const std::size_t h = static_cast<std::size_t>(options_.hiddenNeurons);
     double out = outputWeights_[h]; // output bias
-    for (std::size_t j = 0; j < h; ++j) {
-        const double *row = &hiddenWeights_[j * (inputDim_ + 1)];
-        double acc = row[inputDim_]; // hidden bias
-        for (std::size_t i = 0; i < inputDim_; ++i)
-            acc += row[i] * xz[i];
-        const double act = activation(acc);
-        if (hidden)
-            (*hidden)[j] = act;
-        out += outputWeights_[j] * act;
+    for (std::size_t j0 = 0; j0 < h; j0 += kW) {
+        const std::size_t lanes = std::min(kW, h - j0);
+        Chunk pre = simd::chunkBroadcast(0.0);
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const double *row = &hiddenWeights_[(j0 + l) * (inputDim_ + 1)];
+            double a = row[inputDim_]; // hidden bias
+            for (std::size_t i = 0; i < inputDim_; ++i)
+                a += row[i] * xz[i];
+            pre[l] = a;
+        }
+        const Chunk act = activation(pre);
+        for (std::size_t l = 0; l < lanes; ++l)
+            out += outputWeights_[j0 + l] * act[l];
     }
     return out;
 }
@@ -170,17 +287,13 @@ namespace
 // live in registers across the whole dot product. Each chunk op is
 // element-wise IEEE arithmetic -- the same operations, in the same
 // order, as forwardScaled performs per point.
-#ifdef ACDSE_SIMD_VECTOR
-
 void
 forwardBlockKernel(const double *__restrict hidden_weights,
                    const double *__restrict output_weights,
                    std::size_t h, std::size_t d,
                    const double *__restrict block, double *__restrict out)
 {
-    using simd::Chunk;
     constexpr std::size_t kC = simd::kChunks;
-    constexpr std::size_t kW = simd::kChunkLanes;
     Chunk o[kC];
     const Chunk ob = simd::chunkBroadcast(output_weights[h]);
     for (std::size_t c = 0; c < kC; ++c)
@@ -197,17 +310,8 @@ forwardBlockKernel(const double *__restrict hidden_weights,
             for (std::size_t c = 0; c < kC; ++c)
                 a[c] += simd::chunkLoad(x + c * kW) * w;
         }
-        for (std::size_t c = 0; c < kC; ++c) {
-#ifdef ACDSE_NO_FAST_TANH
-            double act[kW];
-            simd::chunkStore(act, a[c]);
-            for (std::size_t l = 0; l < kW; ++l)
-                act[l] = activation(act[l]);
-            a[c] = simd::chunkLoad(act);
-#else
-            a[c] = fastTanhChunk(a[c]);
-#endif
-        }
+        for (std::size_t c = 0; c < kC; ++c)
+            a[c] = activation(a[c]);
         const Chunk wo = simd::chunkBroadcast(output_weights[j]);
         for (std::size_t c = 0; c < kC; ++c)
             o[c] += a[c] * wo;
@@ -215,36 +319,6 @@ forwardBlockKernel(const double *__restrict hidden_weights,
     for (std::size_t c = 0; c < kC; ++c)
         simd::chunkStore(out + c * kW, o[c]);
 }
-
-#else // scalar-shaped fallback (ACDSE_NO_SIMD or unknown compiler)
-
-void
-forwardBlockKernel(const double *__restrict hidden_weights,
-                   const double *__restrict output_weights,
-                   std::size_t h, std::size_t d,
-                   const double *__restrict block, double *__restrict out)
-{
-    double o[simd::kLanes];
-    double a[simd::kLanes];
-    for (std::size_t l = 0; l < simd::kLanes; ++l)
-        o[l] = output_weights[h]; // output bias
-    for (std::size_t j = 0; j < h; ++j) {
-        const double *__restrict row = hidden_weights + j * (d + 1);
-        for (std::size_t l = 0; l < simd::kLanes; ++l)
-            a[l] = row[d]; // hidden bias
-        for (std::size_t i = 0; i < d; ++i)
-            for (std::size_t l = 0; l < simd::kLanes; ++l)
-                a[l] += block[i * simd::kLanes + l] * row[i];
-        for (std::size_t l = 0; l < simd::kLanes; ++l)
-            a[l] = activation(a[l]);
-        for (std::size_t l = 0; l < simd::kLanes; ++l)
-            o[l] += a[l] * output_weights[j];
-    }
-    for (std::size_t l = 0; l < simd::kLanes; ++l)
-        out[l] = o[l];
-}
-
-#endif
 
 } // namespace
 
@@ -356,7 +430,7 @@ Mlp::predict(const std::vector<double> &x,
     ACDSE_DCHECK(x.size() == inputDim_, "input has ", x.size(),
                  " features, network expects ", inputDim_);
     inputScaler_.transformInto(x, scratch);
-    return targetScaler_.unscale(forwardScaled(scratch));
+    return targetScaler_.unscale(forwardScaled(scratch.data()));
 }
 
 } // namespace acdse

@@ -124,13 +124,8 @@ class Mlp
     void load(BinaryReader &r);
 
   private:
-    /**
-     * Forward pass on an already-scaled input. If @p hidden is
-     * non-null it receives the hidden activations (sized
-     * hiddenNeurons), which back-propagation needs.
-     */
-    double forwardScaled(const std::vector<double> &xz,
-                         std::vector<double> *hidden = nullptr) const;
+    /** Forward pass on one already-scaled input of inputDim() values. */
+    double forwardScaled(const double *xz) const;
 
     /**
      * Forward pass on one simd::kLanes-wide feature-major block of

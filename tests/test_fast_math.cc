@@ -3,13 +3,37 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "base/fast_math.hh"
+#include "base/rng.hh"
 #include "base/simd.hh"
 
 using namespace acdse;
+
+namespace
+{
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+/** The exp identity of the scalar tail, restated independently. */
+double
+expIdentity(double x)
+{
+    const double e = std::exp(-2.0 * std::fabs(x));
+    return std::copysign((1.0 - e) / (1.0 + e), x);
+}
+
+} // namespace
 
 TEST(FastMath, MatchesLibmTanhToFiveNano)
 {
@@ -47,13 +71,12 @@ TEST(FastMath, EdgeCases)
         fastTanh(std::numeric_limits<double>::quiet_NaN())));
 }
 
-#ifdef ACDSE_SIMD_VECTOR
 TEST(FastMath, ChunkMatchesScalarBitExactly)
 {
     // The packed fastTanhChunk must return, in each lane, the exact
-    // bits of scalar fastTanh on that lane -- including the off-table
-    // fallback (|x| >= 4), saturation, infinities and NaN, and chunks
-    // mixing on- and off-table lanes (which take the fallback whole).
+    // bits of scalar fastTanh on that lane -- including the exp tail
+    // (|x| >= 4), saturation, infinities and NaN, and chunks mixing
+    // on- and off-table lanes (each lane takes its own path).
     const double inf = std::numeric_limits<double>::infinity();
     const double nan = std::numeric_limits<double>::quiet_NaN();
     std::vector<double> pts;
@@ -78,7 +101,59 @@ TEST(FastMath, ChunkMatchesScalarBitExactly)
         }
     }
 }
-#endif // ACDSE_SIMD_VECTOR
+
+TEST(FastMath, ChunkTailMatchesLibmIdentityBitExactly)
+{
+    // Oracle for the packed exp tail, which keeps its own exp only
+    // where a rounding check proves libm's exp gives the same bits.
+    // 1M seeded tail arguments, the neighbours of both tail edges,
+    // infinities and NaN, each in every lane position of a chunk whose
+    // other lanes take the other paths (table, tail, saturated, NaN).
+    // Every lane must equal scalar fastTanh bit for bit, and a tail
+    // lane must equal copysign((1 - e) / (1 + e), x) for
+    // e = std::exp(-2|x|).
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> args;
+    Rng rng(2007);
+    for (int i = 0; i < (1 << 20); ++i) {
+        const double a = rng.nextDouble(4.0, detail::kTanhSaturate);
+        args.push_back(i % 2 ? -a : a);
+    }
+    for (double edge : {4.0, detail::kTanhSaturate}) {
+        for (double sign : {1.0, -1.0}) {
+            args.push_back(sign * std::nextafter(edge, 0.0));
+            args.push_back(sign * edge);
+            args.push_back(sign * std::nextafter(edge, inf));
+        }
+    }
+    args.insert(args.end(), {inf, -inf, nan});
+    const double fillers[] = {0.5, -3.999, 7.25, -25.0, nan, -inf};
+    constexpr std::size_t nFillers = sizeof fillers / sizeof fillers[0];
+
+    std::size_t scalarMismatches = 0;
+    std::size_t identityMismatches = 0;
+    for (std::size_t a = 0; a < args.size(); ++a) {
+        for (std::size_t pos = 0; pos < simd::kChunkLanes; ++pos) {
+            simd::Chunk in;
+            for (std::size_t l = 0; l < simd::kChunkLanes; ++l)
+                in[l] = l == pos ? args[a] : fillers[(a + l) % nFillers];
+            const simd::Chunk out = fastTanhChunk(in);
+            for (std::size_t l = 0; l < simd::kChunkLanes; ++l) {
+                if (bitsOf(out[l]) != bitsOf(fastTanh(in[l])) &&
+                    scalarMismatches++ < 5)
+                    ADD_FAILURE() << "lane " << l << " x " << in[l];
+            }
+            const double ax = std::fabs(args[a]);
+            if (ax >= 4.0 && ax < detail::kTanhSaturate &&
+                bitsOf(out[pos]) != bitsOf(expIdentity(args[a])) &&
+                identityMismatches++ < 5)
+                ADD_FAILURE() << "identity, x " << args[a];
+        }
+    }
+    EXPECT_EQ(scalarMismatches, 0u);
+    EXPECT_EQ(identityMismatches, 0u);
+}
 
 TEST(FastMath, ContinuousAcrossTableBoundaries)
 {

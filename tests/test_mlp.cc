@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "base/binary_io.hh"
+#include "base/fast_math.hh"
 #include "base/rng.hh"
 #include "ml/mlp.hh"
 
@@ -135,6 +138,109 @@ TEST(Mlp, HandlesWideTargetScale)
     Mlp mlp;
     mlp.train(xs, ys);
     EXPECT_NEAR(mlp.predict({0.5}), 1.5e7, 0.1e7);
+}
+
+// Seeded campaign-like data: 13 features on mixed scales, a smooth
+// nonlinear target in the 1e6 range.
+void
+goldenDataset(std::uint64_t seed, std::size_t n,
+              std::vector<std::vector<double>> &xs, std::vector<double> &ys)
+{
+    Rng rng(seed);
+    for (std::size_t s = 0; s < n; ++s) {
+        std::vector<double> x(13);
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x[i] = rng.nextDouble(0, 1) * static_cast<double>(1 << i);
+        const double y = 1.0 + 0.3 * x[0] + x[1] * x[2] / 8.0 +
+                         std::sin(x[3]) + 2.0 / (1.0 + x[12] / 1024.0);
+        xs.push_back(std::move(x));
+        ys.push_back(1e6 * y);
+    }
+}
+
+/** FNV-1a of the Mlp::save bytes after training on goldenDataset. */
+std::uint64_t
+trainedDigest(MlpOptions options, std::uint64_t data_seed)
+{
+    std::vector<std::vector<double>> xs;
+    std::vector<double> ys;
+    goldenDataset(data_seed, 96, xs, ys);
+    Mlp mlp(options);
+    mlp.train(xs, ys);
+    BinaryWriter w;
+    mlp.save(w);
+    return fnv1a64(w.buffer());
+}
+
+// Golden fingerprints of trained networks: the exact bytes Mlp::save
+// writes after training on fixed seeded data. Any change to the
+// training arithmetic -- operation order, activation, shuffle draws,
+// retry policy -- moves these, so a refactor of the SGD loop that
+// claims to be bit-identical must leave them alone. The data drive
+// most pre-activations past the tanh table (80% of them at width 10),
+// so the exp tail is covered. The values depend on the activation, so
+// each is pinned for the fastTanh build and the std::tanh build
+// (-DACDSE_FAST_TANH=OFF).
+std::uint64_t
+golden(std::uint64_t fast, std::uint64_t libm)
+{
+    return kFastTanh ? fast : libm;
+}
+
+TEST(MlpGolden, PaperWidth)
+{
+    MlpOptions o;
+    o.seed = 11;
+    EXPECT_EQ(trainedDigest(o, 101),
+              golden(0x535c32929471eea9ULL, 0xb9bc246b9ee22e6bULL));
+}
+
+TEST(MlpGolden, WidthWithPaddingLanes)
+{
+    // 7 neurons: not a whole number of vector lanes.
+    MlpOptions o;
+    o.hiddenNeurons = 7;
+    o.epochs = 300;
+    o.seed = 12;
+    EXPECT_EQ(trainedDigest(o, 102),
+              golden(0x2cf7947ba5fcf197ULL, 0x0e5216d19252e5dcULL));
+}
+
+TEST(MlpGolden, SingleNeuron)
+{
+    MlpOptions o;
+    o.hiddenNeurons = 1;
+    o.epochs = 200;
+    o.seed = 13;
+    EXPECT_EQ(trainedDigest(o, 103),
+              golden(0xc7a90c2fb52a9d60ULL, 0xf4c19f1cbbbcbd71ULL));
+}
+
+TEST(MlpGolden, DivergesThenRetries)
+{
+    // At this rate the first attempt's weights overflow and train()
+    // retrains at a quarter of it: the weights are those a first
+    // attempt at rate / 4 produces (the saved bytes differ only in the
+    // 40-byte options header, which records the requested rate).
+    MlpOptions o;
+    o.epochs = 100;
+    o.seed = 14;
+    o.learningRate = 1e306;
+    std::vector<std::vector<double>> xs;
+    std::vector<double> ys;
+    goldenDataset(104, 96, xs, ys);
+    Mlp diverged(o);
+    diverged.train(xs, ys);
+    o.learningRate /= 4.0;
+    Mlp direct(o);
+    direct.train(xs, ys);
+    BinaryWriter a;
+    BinaryWriter b;
+    diverged.save(a);
+    direct.save(b);
+    EXPECT_EQ(a.buffer().substr(40), b.buffer().substr(40));
+    EXPECT_EQ(fnv1a64(a.buffer()),
+              golden(0x23faa22c67e97562ULL, 0x5165c319e4ff2b0cULL));
 }
 
 TEST(Mlp, PaperArchitectureDefaults)
