@@ -2,21 +2,21 @@
  * @file
  * Campaign-fill benchmark: simulated design points per second through
  * the scalar per-cell simulate() path (the seed campaign shape: fresh
- * core, caches, predictor and energy model per cell) vs the
- * lane-batched replay (ISSUE 9: one DecodedTrace shared read-only,
- * kSimLanes configurations per simulateBatch call, all per-simulation
- * state hoisted into a reused SimScratch), at one thread and at full
+ * core, caches, predictor and energy model per cell) vs the decoded
+ * replay (one DecodedTrace shared read-only, one configuration per
+ * simulateBatch call, all per-simulation state hoisted into a reused
+ * SimScratch -- the campaign.cc fill shape), at one thread and at full
  * hardware parallelism.
  *
- * The batched path must be bit-identical to the scalar one
+ * The decoded replay must be bit-identical to the scalar path
  * (tests/test_batch_sim.cc); this bench shows why it exists, and
  * additionally proves the SimScratch hoisting claim: a steady-state
  * batched pass (same configs, same scratch) must perform ZERO heap
  * allocations, counted by the operator new/delete overrides below.
  *
- * Acceptance floor (ISSUE 9): the batched path delivers >= 3x the
- * scalar single-thread points/s on an 8-core host (>= 5x target). The
- * floor is enforced here when the host has >= 8 hardware threads and
+ * Acceptance floor: the decoded replay delivers >= 3x the scalar
+ * single-thread points/s on an 8-core host (>= 5x target). The floor
+ * is enforced here when the host has >= 8 hardware threads and
  * tracked by tools/ci/check_bench_regression.py against
  * bench/baseline.json (campaign_points_per_s).
  *
@@ -26,7 +26,6 @@
  * output path (schema acdse-bench-v1).
  */
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -55,7 +54,7 @@ namespace
  * Global allocation counter for the steady-state zero-allocation
  * check. Replacing the usual (non-aligned) operator new/delete family
  * is enough: nothing on the simulateBatch path heap-allocates
- * over-aligned types (the lane SoA arrays live on the stack).
+ * over-aligned types.
  */
 std::atomic<std::uint64_t> g_allocations{0};
 
@@ -155,9 +154,9 @@ measureScalar(const std::vector<MicroarchConfig> &configs,
 }
 
 /**
- * Batched path: lane groups of kSimLanes configurations replayed per
- * simulateBatch call against one shared DecodedTrace, with each worker
- * thread reusing its own SimScratch -- the campaign.cc fill shape.
+ * Batched path: one simulateBatch call per configuration against one
+ * shared DecodedTrace, with each worker thread reusing its own
+ * SimScratch -- the campaign.cc fill shape.
  */
 double
 measureBatched(const std::vector<MicroarchConfig> &configs,
@@ -166,44 +165,17 @@ measureBatched(const std::vector<MicroarchConfig> &configs,
                std::size_t passes)
 {
     const std::size_t n = configs.size();
-    const std::size_t groups = (n + kSimLanes - 1) / kSimLanes;
     std::vector<SimulationResult> out(n);
     ThreadPool pool(threads);
     return measure(n, passes, [&] {
-        pool.parallelFor(0, groups, [&](std::size_t g) {
+        pool.parallelFor(0, n, [&](std::size_t i) {
             thread_local SimScratch scratch; // NOLINT(acdse-local-static)
-            const std::size_t first = g * kSimLanes;
-            const std::size_t count = std::min(kSimLanes, n - first);
-            simulateBatch(std::span<const MicroarchConfig>(
-                              configs.data() + first, count),
-                          decoded, options,
-                          std::span<SimulationResult>(out.data() + first,
-                                                      count),
-                          scratch);
+            simulateBatch(
+                std::span<const MicroarchConfig>(&configs[i], 1),
+                decoded, options,
+                std::span<SimulationResult>(&out[i], 1), scratch);
         });
     });
-}
-
-/**
- * One full batched pass over every config through a caller-owned
- * scratch, no pool: the unit the zero-allocation check measures.
- */
-void
-batchedPass(const std::vector<MicroarchConfig> &configs,
-            const DecodedTrace &decoded,
-            const SimulationOptions &options,
-            std::vector<SimulationResult> &out, SimScratch &scratch)
-{
-    const std::size_t n = configs.size();
-    for (std::size_t first = 0; first < n; first += kSimLanes) {
-        const std::size_t count = std::min(kSimLanes, n - first);
-        simulateBatch(std::span<const MicroarchConfig>(
-                          configs.data() + first, count),
-                      decoded, options,
-                      std::span<SimulationResult>(out.data() + first,
-                                                  count),
-                      scratch);
-    }
 }
 
 } // namespace
@@ -234,8 +206,8 @@ main()
 
     const std::size_t passes = 3;
     std::printf("\ncampaign fill, %zu design points x %zu passes per "
-                "cell (points/s, lanes=%zu)\n\n",
-                num_configs, passes, kSimLanes);
+                "cell (points/s)\n\n",
+                num_configs, passes);
 
     const double scalar_t1 =
         measureScalar(configs, trace, options, 1, passes);
@@ -261,10 +233,10 @@ main()
     // of hoisting per-simulation state into SimScratch.
     std::vector<SimulationResult> out(configs.size());
     SimScratch scratch;
-    batchedPass(configs, decoded, options, out, scratch); // warm
+    simulateBatch(configs, decoded, options, out, scratch); // warm
     const std::uint64_t allocs_before =
         g_allocations.load(std::memory_order_relaxed);
-    batchedPass(configs, decoded, options, out, scratch);
+    simulateBatch(configs, decoded, options, out, scratch);
     const std::uint64_t steady_allocs =
         g_allocations.load(std::memory_order_relaxed) - allocs_before;
     std::printf("\nsteady-state batched pass: %llu heap allocations "

@@ -123,10 +123,4 @@ DesignSpace::sampleValidConfigs(std::size_t count, std::uint64_t seed)
     return configs;
 }
 
-std::vector<MicroarchConfig>
-DesignSpace::representativeSample(std::size_t count)
-{
-    return sampleValidConfigs(count, 0xac5e5eedULL);
-}
-
 } // namespace acdse

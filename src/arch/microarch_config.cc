@@ -74,20 +74,6 @@ MicroarchConfig::key() const
     return os.str();
 }
 
-std::string
-MicroarchConfig::toString() const
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < kNumParams; ++i) {
-        const ParamSpec &spec = paramSpecs()[i];
-        os << spec.name << " = " << values_[i];
-        if (spec.unit[0] != '\0')
-            os << ' ' << spec.unit;
-        os << '\n';
-    }
-    return os.str();
-}
-
 std::uint64_t
 MicroarchConfig::hash() const
 {

@@ -85,9 +85,6 @@ class MicroarchConfig
      */
     std::string key() const;
 
-    /** Human-readable multi-line description. */
-    std::string toString() const;
-
     /** Equality on all 13 values. */
     bool operator==(const MicroarchConfig &other) const = default;
 

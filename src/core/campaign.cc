@@ -1,6 +1,5 @@
 #include "core/campaign.hh"
 
-#include <array>
 #include <atomic>
 #include <span>
 #include <cstdlib>
@@ -38,7 +37,7 @@ envSize(const char *name, std::size_t fallback)
 }
 
 /**
- * This worker thread's lane components, reused across fill tiles so
+ * This worker thread's simulator components, reused across cells so
  * steady-state campaign fill performs no per-simulation allocation.
  * Thread-local, so never shared -- parallelFor gives no stable worker
  * index to key a scratch pool by, and a SimScratch is pure storage
@@ -339,66 +338,40 @@ Campaign::computeCells(const std::vector<std::size_t> &cells,
         pool = pinned.get();
     }
 
-    // Tile pending cells into lane groups: cells of one program are
-    // replayed kSimLanes configurations at a time against that
-    // program's trace, decoded once and shared read-only by every
-    // worker. Cells are independent, so the tiling (and the thread
-    // count) cannot change any result -- and the batched replay itself
-    // is bit-identical to scalar simulate().
-    struct Tile
-    {
-        std::size_t program; //!< program index
-        std::size_t first;   //!< offset into `pending`
-        std::size_t count;   //!< cells in this tile (<= kSimLanes)
-    };
-    std::vector<Tile> tiles;
+    // Each program's trace is decoded once and shared read-only by
+    // every worker; each pending cell is one simulateBatch call. Cells
+    // are independent, so neither the thread count nor the order can
+    // change any result -- and the decoded replay itself is
+    // bit-identical to scalar simulate().
     std::vector<std::unique_ptr<DecodedTrace>> decoded(
         programs_.size());
-    for (std::size_t first = 0; first < pending.size();) {
-        const std::size_t p = pending[first] / configs_.size();
-        std::size_t count = 1;
-        while (count < kSimLanes && first + count < pending.size() &&
-               pending[first + count] / configs_.size() == p)
-            ++count;
-        tiles.push_back({p, first, count});
+    for (const std::size_t cell : pending) {
+        const std::size_t p = cell / configs_.size();
         if (!decoded[p])
             decoded[p] = std::make_unique<DecodedTrace>(*traces_[p]);
-        first += count;
     }
 
     const obs::TraceSpan span(obs::Registry::global(),
                               "campaign/fill");
     obs::Registry::global().counter("campaign/sims-run")
         .add(pending.size());
+    SimulationOptions sim_options;
+    sim_options.warmupInstructions = options_.warmupInstructions;
+    const std::size_t report_every =
+        std::max<std::size_t>(1, pending.size() / 10);
     std::atomic<std::size_t> done{0};
-    pool->parallelFor(0, tiles.size(), [&](std::size_t t) {
-        SimulationOptions sim_options;
-        sim_options.warmupInstructions = options_.warmupInstructions;
-        const Tile &tile = tiles[t];
-        std::array<MicroarchConfig, kSimLanes> group;
-        std::array<SimulationResult, kSimLanes> group_results;
-        for (std::size_t i = 0; i < tile.count; ++i) {
-            const std::size_t cell = pending[tile.first + i];
-            group[i] = configs_[cell % configs_.size()];
-        }
+    pool->parallelFor(0, pending.size(), [&](std::size_t i) {
+        const std::size_t cell = pending[i];
+        SimulationResult result;
         simulateBatch(
-            std::span<const MicroarchConfig>(group.data(), tile.count),
-            *decoded[tile.program], sim_options,
-            std::span<SimulationResult>(group_results.data(),
-                                        tile.count),
-            fillScratch());
-        for (std::size_t i = 0; i < tile.count; ++i) {
-            const std::size_t cell = pending[tile.first + i];
-            results_[cell] = group_results[i].metrics;
-            computed_[cell] = true;
-        }
-        const std::size_t completed =
-            done.fetch_add(tile.count) + tile.count;
-        if (!options_.quiet &&
-            completed /
-                    std::max<std::size_t>(1, pending.size() / 10) !=
-                (completed - tile.count) /
-                    std::max<std::size_t>(1, pending.size() / 10)) {
+            std::span<const MicroarchConfig>(
+                &configs_[cell % configs_.size()], 1),
+            *decoded[cell / configs_.size()], sim_options,
+            std::span<SimulationResult>(&result, 1), fillScratch());
+        results_[cell] = result.metrics;
+        computed_[cell] = true;
+        const std::size_t completed = done.fetch_add(1) + 1;
+        if (!options_.quiet && completed % report_every == 0) {
             inform("campaign: ", completed, "/", pending.size(),
                    " simulations done");
         }

@@ -129,11 +129,11 @@ class Campaign
 
     /**
      * Simulate exactly the given cells (already-computed ones are
-     * skipped). Tiling, batching and thread count cannot change any
-     * result, so computing the full pending set in one call or cell
-     * subsets across many calls/processes yields identical metrics.
+     * skipped). Order and thread count cannot change any result, so
+     * computing the full pending set in one call or cell subsets
+     * across many calls/processes yields identical metrics.
      *
-     * @param progress if set, called after each completed tile with
+     * @param progress if set, called after each completed cell with
      *        the cumulative number of cells finished by this call.
      *        Invoked from worker threads (possibly concurrently);
      *        keep it cheap and thread-safe.

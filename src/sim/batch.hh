@@ -1,40 +1,38 @@
 /**
  * @file
- * Lane-per-config batched simulator replay.
+ * Decoded-trace simulator replay for design-space campaigns.
  *
  * A design-space campaign evaluates the *same* trace under hundreds of
  * configurations. The scalar path (sim/simulator.hh) rebuilds every
- * simulator structure per call and streams the trace once per config;
- * this path replays one decoded trace against up to kSimLanes
- * configurations simultaneously:
+ * simulator structure per call and re-derives every instruction's
+ * properties per config; this path replays one decoded trace against
+ * each configuration in turn, one configuration to completion at a
+ * time:
  *
  *  - DecodedTrace precomputes per-instruction properties (latency,
  *    functional-unit pool, energy event, class flags) once per trace
  *    instead of re-deriving them per config per instruction.
- *  - SimScratch owns per-lane simulator components (caches, predictors,
- *    energy model, pipeline storage) that are *reconfigured* -- not
- *    reallocated -- for each batch, so steady-state replay performs no
- *    heap allocation (bench_campaign asserts this).
- *  - Lanes advance through the trace in interleaved quanta, sharing the
- *    trace working set.
+ *  - SimScratch owns one set of simulator components (caches,
+ *    predictors, energy model, pipeline storage) that is
+ *    *reconfigured* -- not reallocated -- for each configuration, so
+ *    steady-state replay performs no heap allocation (bench_campaign
+ *    asserts this).
+ *  - The engine skips idle cycles and caches operand wake-up bounds
+ *    (see batch.cc); both are provably invisible in the results.
  *
  * Contract: per-config results are BIT-IDENTICAL to scalar simulate()
- * (tests/test_batch_sim.cc compares all four metrics with EXPECT_EQ on
- * the doubles). This holds because lanes never interact -- each lane
- * executes exactly the scalar algorithm's operation sequence -- and the
- * shared tables in sim/core_ops.hh keep the two transcriptions from
- * drifting.
+ * (tests/test_batch_sim.cc compares every result field with EXPECT_EQ
+ * and pins a golden digest). The shared tables in sim/core_ops.hh keep
+ * the two transcriptions of the pipeline from drifting.
  *
  * Observability: simulateBatch() runs under a "sim/batch" trace span
  * and feeds two counters -- "sim/instructions" (instructions committed
- * through the batched path) and "sim/lanes-occupied" (sum of occupied
- * lanes per lane-group; divide by the sim/batch span's call count for
- * average occupancy).
+ * through this path) and "sim/lanes-occupied" (configurations
+ * simulated).
  */
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -45,15 +43,20 @@
 #include "sim/cache.hh"
 #include "sim/core.hh"
 #include "sim/energy.hh"
-#include "sim/sampled_sim.hh"
 #include "sim/simulator.hh"
 #include "trace/trace.hh"
 
 namespace acdse
 {
 
-/** Configurations replayed simultaneously per lane group. */
-constexpr std::size_t kSimLanes = 8;
+/**
+ * Configurations one engine replays at a time. The engine runs each
+ * configuration to completion, so this is 1; it is kept only as the
+ * divisor of the benchmark's lane-occupancy metric
+ * (sim/lanes-occupied over sim/batch calls), which therefore reads
+ * 1.0 when every call carries one configuration.
+ */
+constexpr std::size_t kSimLanes = 1;
 
 /**
  * A trace decoded for replay: per-instruction properties the core
@@ -116,39 +119,34 @@ class DecodedTrace
 };
 
 /**
- * Per-lane simulator components, owned by the caller and recycled
+ * One set of simulator components, owned by the caller and recycled
  * across simulateBatch() calls. First use constructs each component;
- * every later batch reconfigures it in place (O(1) invalidation via
- * epochs -- see Cache::reconfigure), so steady-state replay allocates
- * nothing. One scratch serves one thread; it is storage, never state:
- * results do not depend on what ran through it before.
+ * every later configuration reconfigures it in place (O(1)
+ * invalidation via epochs -- see Cache::reconfigure), so steady-state
+ * replay allocates nothing. One scratch serves one thread; it is
+ * storage, never state: results do not depend on what ran through it
+ * before.
  */
 struct SimScratch
 {
-    /** Components for one lane (one configuration). */
-    struct Lane
-    {
-        std::optional<EnergyModel> energy;       //!< event accounting
-        std::optional<CacheHierarchy> hierarchy; //!< L1I/L1D/L2
-        std::optional<GsharePredictor> bpred;    //!< direction predictor
-        std::optional<Btb> btb;                  //!< target buffer
-        CoreScratch core;                        //!< pipeline storage
-    };
-
-    std::array<Lane, kSimLanes> lanes; //!< one per simultaneous config
+    std::optional<EnergyModel> energy;       //!< event accounting
+    std::optional<CacheHierarchy> hierarchy; //!< L1I/L1D/L2
+    std::optional<GsharePredictor> bpred;    //!< direction predictor
+    std::optional<Btb> btb;                  //!< target buffer
+    CoreScratch core;                        //!< pipeline storage
 };
 
 /**
- * Replay @p trace against every configuration in @p configs (any
- * count; processed in lane groups of kSimLanes) and write one
- * SimulationResult per config into @p results. Bit-identical to
- * calling simulate(configs[i], trace.source(), options) per config.
+ * Replay @p trace against every configuration in @p configs, one after
+ * another, and write one SimulationResult per config into @p results.
+ * Bit-identical to calling simulate(configs[i], trace.source(),
+ * options) per config.
  *
  * @param configs the design points (results follow this order).
- * @param trace   the decoded trace, shared by every lane.
+ * @param trace   the decoded trace, shared read-only.
  * @param options warmup control, as for simulate().
  * @param results output span, at least configs.size() entries.
- * @param scratch caller-owned lane components (reused across calls).
+ * @param scratch caller-owned components (reused across calls).
  */
 void simulateBatch(std::span<const MicroarchConfig> configs,
                    const DecodedTrace &trace,
@@ -160,25 +158,5 @@ void simulateBatch(std::span<const MicroarchConfig> configs,
 std::vector<SimulationResult>
 simulateBatch(std::span<const MicroarchConfig> configs, const Trace &trace,
               const SimulationOptions &options = {});
-
-/**
- * Batched SimPoint estimate: one analysis pass, then every
- * representative interval replayed across all lanes. Element i is
- * bit-identical to simulateWithSimPoints(configs[i], trace, options).
- */
-std::vector<SampledResult>
-simulateWithSimPointsBatch(std::span<const MicroarchConfig> configs,
-                           const Trace &trace,
-                           const SimPointOptions &options = {});
-
-/**
- * Batched SMARTS estimate: measurement units and functional warming
- * advance all lanes together. Element i is bit-identical to
- * simulateWithSmarts(configs[i], trace, options).
- */
-std::vector<SampledResult>
-simulateWithSmartsBatch(std::span<const MicroarchConfig> configs,
-                        const Trace &trace,
-                        const SmartsOptions &options = {});
 
 } // namespace acdse

@@ -25,8 +25,8 @@ class GsharePredictor
     /**
      * Re-size the table and forget all training, history and
      * statistics -- equivalent to constructing a fresh predictor but
-     * reusing the counter storage (the lane-batched simulator recycles
-     * one predictor per lane across simulations).
+     * reusing the counter storage (the decoded replay in sim/batch.hh
+     * recycles one predictor per worker thread across simulations).
      */
     void reconfigure(int entries);
 
@@ -40,12 +40,6 @@ class GsharePredictor
     /** @{ */
     std::uint64_t lookups() const { return lookups_; }
     std::uint64_t mispredicts() const { return mispredicts_; }
-    double
-    mispredictRate() const
-    {
-        return lookups_ ? static_cast<double>(mispredicts_) / lookups_
-                        : 0.0;
-    }
     /** @} */
 
   private:

@@ -35,9 +35,9 @@ class Cache
     /**
      * Re-shape this cache for a new geometry, invalidating all
      * contents and statistics. Equivalent to constructing a fresh
-     * Cache but reuses the line storage -- the lane-batched simulator
-     * (sim/batch.hh) recycles one Cache per lane across thousands of
-     * simulations, and re-allocating + zeroing a multi-megabyte L2
+     * Cache but reuses the line storage -- the decoded replay
+     * (sim/batch.hh) recycles one Cache per worker thread across
+     * thousands of simulations, and re-allocating + zeroing a multi-megabyte L2
      * line array per simulation would dominate short campaign runs.
      */
     void reconfigure(int sizeBytes, int assoc, int lineBytes);
@@ -53,17 +53,10 @@ class Cache
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t writebacks() const { return writebacks_; }
-    double missRate() const
-    {
-        return accesses_ ? static_cast<double>(misses_) / accesses_ : 0.0;
-    }
     /** @} */
 
     /** Forget all contents and statistics. */
     void reset();
-
-    /** Number of sets. */
-    int numSets() const { return sets_; }
 
   private:
     /**
@@ -142,7 +135,6 @@ class CacheHierarchy
 
     /** @name Latencies derived from the Cacti model. */
     /** @{ */
-    int il1Latency() const { return il1Latency_; }
     int dl1Latency() const { return dl1Latency_; }
     int l2Latency() const { return l2Latency_; }
     int memLatency() const { return memLatency_; }

@@ -46,8 +46,8 @@ constexpr std::uint64_t kCoreNotReady = ~std::uint64_t{0};
  * (ROB slots, fetch queue, issue queue, per-cycle rings, divider busy
  * timers). OooCore::run() historically allocated these per call; a
  * campaign runs hundreds of thousands of short simulations, so callers
- * that loop (Campaign fill, the lane-batched replay path in
- * sim/batch.hh) own one scratch per worker and hand it to every run.
+ * that loop (the decoded replay path in sim/batch.hh, through each
+ * worker's SimScratch) own one scratch and hand it to every run.
  * Contents are overwritten at the start of each run; only capacity
  * carries over.
  */
@@ -73,7 +73,7 @@ struct CoreScratch
     /**
      * Parallel to iq: the earliest cycle the entry's operands can be
      * ready, or 0 when unknown. A nonzero value is exact -- the max of
-     * both producers' immutable readyCycle -- so the batched engine
+     * both producers' immutable readyCycle -- so the decoded replay
      * skips the entry without rescanning until the value expires. The
      * scalar core leaves this empty.
      */

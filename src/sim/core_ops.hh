@@ -1,10 +1,10 @@
 /**
  * @file
  * Per-instruction-class properties shared by the scalar core model
- * (core.cc) and the lane-batched replay path (batch.cc).
+ * (core.cc) and the decoded replay path (batch.cc).
  *
  * Both paths must map an InstClass to the *same* execution latency,
- * functional-unit pool and energy event, or the batched simulator's
+ * functional-unit pool and energy event, or the decoded replay's
  * bit-identity contract against scalar simulate() breaks. Keeping the
  * tables in one header makes divergence a link error instead of a
  * silently drifting copy.

@@ -70,7 +70,8 @@ class EnergyModel
     /**
      * Re-derive all per-event costs for a new configuration and zero
      * the event counts -- equivalent to constructing a fresh model
-     * (the lane-batched simulator recycles one model per lane).
+     * (the decoded replay in sim/batch.hh recycles one model per
+     * worker thread).
      */
     void reconfigure(const MicroarchConfig &config);
 

@@ -57,13 +57,6 @@ simulate(const MicroarchConfig &config, const Trace &trace,
          const SimulationOptions &options)
 {
     CoreScratch scratch;
-    return simulate(config, trace, options, scratch);
-}
-
-SimulationResult
-simulate(const MicroarchConfig &config, const Trace &trace,
-         const SimulationOptions &options, CoreScratch &scratch)
-{
     EnergyModel energy(config);
     OooCore core(config, energy);
 

@@ -1,24 +1,24 @@
 /**
  * @file
- * Bit-identity contract of the lane-batched simulator replay
- * (sim/batch.hh): for every batch size, warmup setting and sampling
- * methodology, the batched path must reproduce the scalar path's
- * metrics EXACTLY -- EXPECT_EQ on the doubles, not EXPECT_NEAR. The
- * lanes never interact, so any divergence is a transcription bug, not
- * rounding.
+ * Bit-identity contract of the decoded-trace simulator replay
+ * (sim/batch.hh): for every batch size and warmup setting, the
+ * batched path must reproduce the scalar path's results EXACTLY --
+ * EXPECT_EQ on the doubles, not EXPECT_NEAR. Both paths run the same
+ * operation sequence per configuration, so any divergence is a
+ * transcription bug, not rounding.
  */
 
 #include <gtest/gtest.h>
 
-#include <array>
+#include <algorithm>
 #include <span>
 #include <vector>
 
 #include "arch/design_space.hh"
+#include "base/binary_io.hh"
 #include "base/thread_pool.hh"
 #include "sim/batch.hh"
 #include "sim/cacti.hh"
-#include "sim/sampled_sim.hh"
 #include "sim/simulator.hh"
 #include "trace/suites.hh"
 #include "trace/trace_generator.hh"
@@ -66,8 +66,8 @@ expectIdentical(const SimulationResult &batched,
               scalar.stats.fetchStallBranches);
 }
 
-// Batch sizes around the lane count: a lone config, a partial group,
-// a full group, and a full group plus a straggler.
+// A lone config, and batches of 7, 8 and 9 configurations that reuse
+// one scratch from each configuration to the next.
 class BatchSimSizes : public ::testing::TestWithParam<std::size_t>
 {
 };
@@ -110,7 +110,7 @@ TEST(BatchSim, ScratchReuseAcrossTracesAndBatches)
         const Trace trace = makeTrace(program, 6000);
         const DecodedTrace decoded(trace);
         const auto configs = DesignSpace::sampleValidConfigs(
-            kSimLanes, 17 + static_cast<unsigned>(program[0]));
+            8, 17 + static_cast<unsigned>(program[0]));
         std::vector<SimulationResult> batched(configs.size());
         simulateBatch(std::span<const MicroarchConfig>(configs),
                       decoded, options,
@@ -124,55 +124,47 @@ TEST(BatchSim, ScratchReuseAcrossTracesAndBatches)
     }
 }
 
-TEST(BatchSim, SimPointBatchBitIdenticalToScalar)
+/** Append every SimulationResult field, in declaration order. */
+void
+appendResult(BinaryWriter &w, const SimulationResult &r)
 {
-    const Trace trace = makeTrace("gzip", 24000);
-    const auto configs = DesignSpace::sampleValidConfigs(9, 4242);
-    SimPointOptions options;
-    options.intervalLength = 2000;
-    options.maxClusters = 6;
-
-    const auto batched = simulateWithSimPointsBatch(
-        std::span<const MicroarchConfig>(configs), trace, options);
-    ASSERT_EQ(batched.size(), configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        SCOPED_TRACE(::testing::Message() << "config " << i);
-        const SampledResult scalar =
-            simulateWithSimPoints(configs[i], trace, options);
-        EXPECT_EQ(batched[i].metrics.cycles, scalar.metrics.cycles);
-        EXPECT_EQ(batched[i].metrics.energyNj, scalar.metrics.energyNj);
-        EXPECT_EQ(batched[i].metrics.ed, scalar.metrics.ed);
-        EXPECT_EQ(batched[i].metrics.edd, scalar.metrics.edd);
-        EXPECT_EQ(batched[i].simulatedInstructions,
-                  scalar.simulatedInstructions);
-        EXPECT_EQ(batched[i].detailFraction, scalar.detailFraction);
-    }
+    w.f64(r.metrics.cycles);
+    w.f64(r.metrics.energyNj);
+    w.f64(r.metrics.ed);
+    w.f64(r.metrics.edd);
+    w.f64(r.dynamicNj);
+    w.f64(r.staticNj);
+    const CoreStats &s = r.stats;
+    for (const std::uint64_t v :
+         {s.cycles, s.instructions, s.branches, s.mispredicts,
+          s.btbMisses, s.il1Misses, s.dl1Misses, s.l2Misses,
+          s.dispatchStallRob, s.dispatchStallIq, s.dispatchStallLsq,
+          s.dispatchStallRegs, s.fetchStallBranches})
+        w.u64(v);
 }
 
-TEST(BatchSim, SmartsBatchBitIdenticalToScalar)
+// Golden fingerprint of the decoded replay: every field of every result
+// for three programs x nine configurations, with and without warm-up.
+// The value was recorded with the earlier eight-lane engine, so it
+// also pins this engine to that one. Any change to the pipeline's
+// timing, stall accounting or energy events moves it.
+TEST(BatchSimGolden, ThreeProgramsNineConfigs)
 {
-    const Trace trace = makeTrace("ammp", 16000);
-    const auto configs = DesignSpace::sampleValidConfigs(9, 99);
-    SmartsOptions options;
-    options.unitInstructions = 500;
-    options.samplingPeriod = 8;
-    options.offset = 3;
-
-    const auto batched = simulateWithSmartsBatch(
-        std::span<const MicroarchConfig>(configs), trace, options);
-    ASSERT_EQ(batched.size(), configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        SCOPED_TRACE(::testing::Message() << "config " << i);
-        const SampledResult scalar =
-            simulateWithSmarts(configs[i], trace, options);
-        EXPECT_EQ(batched[i].metrics.cycles, scalar.metrics.cycles);
-        EXPECT_EQ(batched[i].metrics.energyNj, scalar.metrics.energyNj);
-        EXPECT_EQ(batched[i].metrics.ed, scalar.metrics.ed);
-        EXPECT_EQ(batched[i].metrics.edd, scalar.metrics.edd);
-        EXPECT_EQ(batched[i].simulatedInstructions,
-                  scalar.simulatedInstructions);
-        EXPECT_EQ(batched[i].detailFraction, scalar.detailFraction);
+    const auto configs = DesignSpace::sampleValidConfigs(9, 2024);
+    BinaryWriter w;
+    for (const char *program : {"gcc", "mcf", "art"}) {
+        const Trace trace = makeTrace(program, 8000);
+        for (const std::size_t warmup :
+             {std::size_t{0}, std::size_t{2000}}) {
+            SimulationOptions options;
+            options.warmupInstructions = warmup;
+            for (const SimulationResult &r : simulateBatch(
+                     std::span<const MicroarchConfig>(configs), trace,
+                     options))
+                appendResult(w, r);
+        }
     }
+    EXPECT_EQ(fnv1a64(w.buffer()), 0x5941ede001a58db7ULL);
 }
 
 TEST(BatchSim, CactiMemoisationServesRepeatedGeometry)
@@ -206,12 +198,13 @@ TEST(BatchSimConcurrency, ParallelBatchesShareDecodedTrace)
 
     ThreadPool pool(4);
     std::vector<SimulationResult> batched(configs.size());
-    pool.parallelFor(0, (configs.size() + kSimLanes - 1) / kSimLanes,
+    constexpr std::size_t kGroup = 8;
+    pool.parallelFor(0, (configs.size() + kGroup - 1) / kGroup,
                      [&](std::size_t g) {
                          SimScratch scratch;
-                         const std::size_t first = g * kSimLanes;
+                         const std::size_t first = g * kGroup;
                          const std::size_t n = std::min(
-                             kSimLanes, configs.size() - first);
+                             kGroup, configs.size() - first);
                          simulateBatch(
                              std::span<const MicroarchConfig>(
                                  configs.data() + first, n),

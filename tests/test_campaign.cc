@@ -9,6 +9,7 @@
 #include <filesystem>
 
 #include "core/campaign.hh"
+#include "scratch_dir.hh"
 
 namespace acdse
 {
@@ -24,7 +25,7 @@ tinyOptions(const std::string &tag)
     options.warmupInstructions = 300;
     options.quiet = true;
     options.cacheDir =
-        (std::filesystem::temp_directory_path() / tag).string();
+        (testscratch::processRoot() / tag).string();
     std::filesystem::create_directories(options.cacheDir);
     return options;
 }

@@ -9,6 +9,7 @@
 #include <filesystem>
 
 #include "core/characterisation.hh"
+#include "scratch_dir.hh"
 
 namespace acdse
 {
@@ -24,9 +25,8 @@ sharedCampaign()
         options.traceLength = 2500;
         options.warmupInstructions = 500;
         options.quiet = true;
-        options.cacheDir = (std::filesystem::temp_directory_path() /
-                            "acdse_char_tests")
-                               .string();
+        options.cacheDir =
+            (testscratch::processRoot() / "acdse_char_tests").string();
         std::filesystem::create_directories(options.cacheDir);
         Campaign c({"crc32", "sha", "fft", "qsort"}, options);
         c.ensureComputed();

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "base/csv.hh"
+#include "scratch_dir.hh"
 
 namespace acdse
 {
@@ -19,7 +20,7 @@ namespace
 std::string
 tempPath(const std::string &name)
 {
-    return (std::filesystem::temp_directory_path() / name).string();
+    return (testscratch::processRoot() / name).string();
 }
 
 TEST(Csv, SplitsLine)

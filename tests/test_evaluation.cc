@@ -10,6 +10,7 @@
 #include <set>
 
 #include "core/evaluation.hh"
+#include "scratch_dir.hh"
 
 namespace acdse
 {
@@ -25,9 +26,8 @@ sharedCampaign()
         options.traceLength = 2500;
         options.warmupInstructions = 500;
         options.quiet = true;
-        options.cacheDir = (std::filesystem::temp_directory_path() /
-                            "acdse_eval_tests")
-                               .string();
+        options.cacheDir =
+            (testscratch::processRoot() / "acdse_eval_tests").string();
         std::filesystem::create_directories(options.cacheDir);
         Campaign c({"crc32", "sha", "adpcm", "stringsearch", "bitcount",
                     "blowfish"},

@@ -13,6 +13,7 @@
 
 #include "core/characterisation.hh"
 #include "core/evaluation.hh"
+#include "scratch_dir.hh"
 
 namespace acdse
 {
@@ -29,9 +30,8 @@ integrationCampaign()
         options.traceLength = 4000;
         options.warmupInstructions = 1000;
         options.quiet = true;
-        options.cacheDir = (std::filesystem::temp_directory_path() /
-                            "acdse_integration")
-                               .string();
+        options.cacheDir =
+            (testscratch::processRoot() / "acdse_integration").string();
         std::filesystem::create_directories(options.cacheDir);
         Campaign c({"gzip", "parser", "crafty", "galgel", "eon",
                     "mesa", "twolf", "gap"},

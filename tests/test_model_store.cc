@@ -18,6 +18,7 @@
 #include "ml/mlp.hh"
 #include "ml/scaler.hh"
 #include "serve/model_store.hh"
+#include "scratch_dir.hh"
 
 namespace acdse
 {
@@ -66,7 +67,7 @@ trainedPredictor(bool fit_responses = true)
 std::string
 tempPath(const std::string &name)
 {
-    return (std::filesystem::temp_directory_path() / name).string();
+    return (testscratch::processRoot() / name).string();
 }
 
 TEST(BinaryIo, ScalarRoundTrip)

@@ -16,6 +16,7 @@
 
 #include "base/thread_pool.hh"
 #include "core/evaluation.hh"
+#include "scratch_dir.hh"
 
 namespace acdse
 {
@@ -32,7 +33,7 @@ tinyOptions(const std::string &tag, std::size_t threads)
     options.threads = threads;
     options.quiet = true;
     options.cacheDir =
-        (std::filesystem::temp_directory_path() / tag).string();
+        (testscratch::processRoot() / tag).string();
     std::filesystem::create_directories(options.cacheDir);
     return options;
 }

@@ -13,6 +13,7 @@
 
 #include "arch/design_space.hh"
 #include "serve/prediction_service.hh"
+#include "scratch_dir.hh"
 
 namespace acdse
 {
@@ -212,9 +213,7 @@ TEST(PredictionService, FromFileServesSavedArtifact)
 {
     const ModelArtifact artifact = twoMetricArtifact();
     const std::string path =
-        (std::filesystem::temp_directory_path() /
-         "acdse_service_from_file.acdse")
-            .string();
+        (testscratch::freshDir("artifact") / "service.acdse").string();
     saveArtifact(path, artifact);
 
     ServeOptions options;

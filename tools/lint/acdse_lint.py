@@ -74,6 +74,14 @@ Rules (suppress a single line with a trailing  // NOLINT(acdse-<rule>)):
                          ReaderLock, CondVar) so unguarded access is
                          a compile error.
 
+  acdse-fixed-temp-path  temp_directory_path() in tests/ outside
+                         tests/scratch_dir.hh. ctest runs many test
+                         processes at once, and a fixed name under the
+                         system temp directory is shared by all of
+                         them (and by earlier runs). Use
+                         testscratch::processRoot() or freshDir(),
+                         which are private to one process.
+
   acdse-parallelfor-ref-capture   (AST engine only)
                          A by-reference capture written directly
                          (x = / x += / ++x) inside a lambda passed to
@@ -121,6 +129,10 @@ ATOMIC_WRITE_IMPLS = {
 # The one file allowed to name the raw standard synchronisation types:
 # the annotated wrappers that everything else must use.
 RAW_SYNC_IMPL = Path("src/base/sync.hh")
+
+# The one test file allowed to name the system temp directory: the
+# per-process scratch helper every other test goes through.
+TEST_SCRATCH_IMPL = Path("tests/scratch_dir.hh")
 
 NOLINT_RE = re.compile(r"NOLINT\(acdse-([a-z-]+)\)")
 
@@ -173,6 +185,27 @@ RAW_MUTEX_MESSAGE = (
     "invisible to -Wthread-safety; use the annotated wrappers in "
     "base/sync.hh"
 )
+
+
+FIXED_TEMP_RE = re.compile(r"\btemp_directory_path\s*\(")
+FIXED_TEMP_MESSAGE = (
+    "fixed path under the system temp directory, shared by concurrent "
+    "test processes; use testscratch::processRoot() or freshDir() "
+    "(tests/scratch_dir.hh)"
+)
+
+
+def find_fixed_temp_paths(rel: Path, lines: list[str]) -> list[int]:
+    """Line numbers in a test file that build a fixed temp path."""
+    if rel.parts[:1] != ("tests",) or rel == TEST_SCRATCH_IMPL:
+        return []
+    return [
+        lineno
+        for lineno, line in enumerate(lines, 1)
+        if FIXED_TEMP_RE.search(line)
+        and "fixed-temp-path"
+        not in {m.group(1) for m in NOLINT_RE.finditer(line)}
+    ]
 
 
 LOOP_HEADER_RE = re.compile(r"\b(?:for|while)\s*\(")
@@ -300,6 +333,11 @@ def lint_file(root: Path, rel: Path, ast_active: bool = False) -> list[str]:
                 f"{rel}:{lineno}: [acdse-raw-mutex] {RAW_MUTEX_MESSAGE}"
             )
 
+    for lineno in find_fixed_temp_paths(rel, lines):
+        findings.append(
+            f"{rel}:{lineno}: [acdse-fixed-temp-path] {FIXED_TEMP_MESSAGE}"
+        )
+
     # Hot-loop span rule: src/ only; tests construct spans in loops on
     # purpose (they are testing the spans).
     if top == "src" and not ast_active:
@@ -415,6 +453,22 @@ LINE_RULE_CASES = [
 ]
 
 
+# (name, file, snippet, expected finding lines) for acdse-fixed-temp-path.
+FIXED_TEMP_CASES = [
+    ("fixed temp path in a test flags", "tests/test_csv.cc",
+     'auto p = std::filesystem::temp_directory_path() / "a.csv";', [1]),
+    ("NOLINT suppresses the fixed temp path", "tests/test_csv.cc",
+     "auto p = std::filesystem::temp_directory_path(); "
+     "// NOLINT(acdse-fixed-temp-path)", []),
+    ("processRoot is clean", "tests/test_csv.cc",
+     'auto p = testscratch::processRoot() / "a.csv";', []),
+    ("the scratch helper itself is clean", "tests/scratch_dir.hh",
+     "std::filesystem::temp_directory_path() /", []),
+    ("a temp path outside tests is clean", "bench/bench_jobs.cc",
+     "std::filesystem::temp_directory_path() /", []),
+]
+
+
 def self_test(root: Path, require_ast: bool = False) -> int:
     failures = 0
     for name, expected, snippet in SELF_TEST_CASES:
@@ -427,7 +481,13 @@ def self_test(root: Path, require_ast: bool = False) -> int:
         status = "ok" if got == expected else "FAIL"
         failures += got != expected
         print(f"{status}: {name} (expected {expected}, got {got})")
-    regex_cases = len(SELF_TEST_CASES) + len(LINE_RULE_CASES)
+    for name, rel, snippet, expected in FIXED_TEMP_CASES:
+        got = find_fixed_temp_paths(Path(rel), snippet.splitlines())
+        status = "ok" if got == expected else "FAIL"
+        failures += got != expected
+        print(f"{status}: {name} (expected {expected}, got {got})")
+    regex_cases = (len(SELF_TEST_CASES) + len(LINE_RULE_CASES)
+                   + len(FIXED_TEMP_CASES))
 
     import ast_engine
 
