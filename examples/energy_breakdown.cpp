@@ -11,7 +11,7 @@
 
 #include "arch/design_space.hh"
 #include "base/table.hh"
-#include "sim/core.hh"
+#include "sim/batch.hh"
 #include "trace/suites.hh"
 #include "trace/trace_generator.hh"
 
@@ -22,12 +22,15 @@ namespace
 
 void
 printBreakdown(const char *label, const MicroarchConfig &config,
-               const Trace &trace)
+               const DecodedTrace &trace)
 {
-    EnergyModel energy(config);
-    OooCore core(config, energy);
-    core.warm(trace, 0, trace.size() / 5);
-    const CoreStats stats = core.run(trace, trace.size() / 5);
+    // Warm caches and predictors over the first fifth, then time the
+    // rest; the energy model records only the timed interval.
+    SimScratch scratch;
+    const EnergyModel &energy = scratch.configure(config);
+    warm(trace, 0, trace.size() / 5, scratch);
+    const CoreStats stats =
+        replay(trace, trace.size() / 5, trace.size(), scratch);
 
     std::printf("--- %s: width=%d rob=%d l2=%dKB bpred=%dK ---\n",
                 label, config.width(), config.robSize(),
@@ -57,8 +60,8 @@ printBreakdown(const char *label, const MicroarchConfig &config,
 int
 main()
 {
-    const Trace trace =
-        TraceGenerator(profileByName("crafty")).generate(20000);
+    const Trace raw = TraceGenerator(profileByName("crafty")).generate(20000);
+    const DecodedTrace trace(raw);
 
     // The baseline, a deliberately wide/hot machine and a frugal one.
     printBreakdown("baseline", DesignSpace::baseline(), trace);

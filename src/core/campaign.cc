@@ -341,8 +341,7 @@ Campaign::computeCells(const std::vector<std::size_t> &cells,
     // Each program's trace is decoded once and shared read-only by
     // every worker; each pending cell is one simulateBatch call. Cells
     // are independent, so neither the thread count nor the order can
-    // change any result -- and the decoded replay itself is
-    // bit-identical to scalar simulate().
+    // change any result -- a cell gives what simulate() gives.
     std::vector<std::unique_ptr<DecodedTrace>> decoded(
         programs_.size());
     for (const std::size_t cell : pending) {

@@ -69,21 +69,65 @@ recycle(std::optional<T> &slot, const Args &...args)
     return *slot;
 }
 
-/**
- * Timed run of @p config over decoded instructions [begin, end), with
- * the components in @p scratch (already configured for @p config).
- * Caches and predictors keep their state across calls, so a warm-up
- * run followed by a timed one matches simulate(). All pipeline state
- * lives in locals for the whole interval; the bulky storage (ROB/IQ
- * and ring vectors) is the scratch's, reused across calls.
+} // namespace
+
+EnergyModel &
+SimScratch::configure(const MicroarchConfig &design)
+{
+    config = design;
+    EnergyModel &model = recycle(energy, design);
+    recycle(hierarchy, design);
+    recycle(bpred, design.bpredEntries());
+    recycle(btb, design.btbEntries());
+    return model;
+}
+
+void
+warm(const DecodedTrace &trace, std::size_t begin, std::size_t end,
+     SimScratch &scratch)
+{
+    ACDSE_DCHECK(scratch.hierarchy, "warm() on an unconfigured scratch");
+    end = std::min(end, trace.size());
+    const DecodedTrace::Op *ops = trace.ops();
+    CacheHierarchy &hierarchy = *scratch.hierarchy;
+    GsharePredictor &bpred = *scratch.bpred;
+    Btb &btb = *scratch.btb;
+    HierarchyAccessEvents discard;
+    const std::uint64_t line_mask =
+        ~static_cast<std::uint64_t>(fixedParams().l1LineBytes - 1);
+    std::uint64_t last_line = std::numeric_limits<std::uint64_t>::max();
+    for (std::size_t i = begin; i < end; ++i) {
+        const DecodedTrace::Op &op = ops[i];
+        const std::uint64_t line = op.pc & line_mask;
+        if (line != last_line) {
+            hierarchy.instAccess(op.pc, discard);
+            last_line = line;
+        }
+        if (op.flags & DecodedTrace::kOpMem) {
+            hierarchy.dataAccess(op.addrOrTarget,
+                                 (op.flags & DecodedTrace::kOpStore) != 0,
+                                 discard);
+        } else if (op.flags & DecodedTrace::kOpBranch) {
+            const bool taken = (op.flags & DecodedTrace::kOpTaken) != 0;
+            bpred.update(op.pc, taken);
+            if (taken && !btb.lookup(op.pc))
+                btb.update(op.pc, op.addrOrTarget);
+        }
+    }
+}
+
+/*
+ * The timed run. All pipeline state lives in locals for the whole
+ * interval; the bulky storage (ROB/IQ and ring vectors) is the
+ * scratch's, reused across calls.
  *
- * The loop is a faithful transcription of the scalar pipeline loop in
- * OooCore::run() -- every structural limit, stall and energy event in
- * the same order. Any edit there needs a mirror here; the bit-identity
- * suite (tests/test_batch_sim.cc) catches drift.
+ * The loop is the cycle-by-cycle pipeline of the reference simulator
+ * (tests/reference_sim.cc) -- every structural limit, stall and energy
+ * event in the same order. The bit-identity suite
+ * (tests/test_batch_sim.cc) compares the two on random configurations.
  *
- * On top of the transcription sit two provably invisible shortcuts,
- * the source of this path's speedup over the scalar reference:
+ * On top of it sit two provably invisible shortcuts, the source of
+ * this engine's speedup over the reference:
  *
  *  - Idle-cycle skipping: a cycle in which no stage changed any
  *    pipeline, cache or predictor state replays identically until the
@@ -92,7 +136,7 @@ recycle(std::optional<T> &slot, const Args &...args)
  *    in one step and credits the per-cycle stall counters -- the only
  *    observable effect of the skipped cycles -- in bulk.
  *
- *  - An operand wake cache (CoreScratch::iqSleep): an IQ entry whose
+ *  - An operand wake cache (SimScratch::iqSleep): an IQ entry whose
  *    operands provably cannot be ready before a known cycle is
  *    skipped by the issue scan without touching its producers until
  *    that bound expires. Bounds propagate down dependency chains by
@@ -103,9 +147,11 @@ recycle(std::optional<T> &slot, const Args &...args)
  *    early, never carry it past an event.
  */
 CoreStats
-replay(const MicroarchConfig &config, const DecodedTrace &trace,
-       std::size_t begin, std::size_t end, SimScratch &scratch)
+replay(const DecodedTrace &trace, std::size_t begin, std::size_t end,
+       SimScratch &scratch)
 {
+    ACDSE_DCHECK(scratch.energy, "replay() on an unconfigured scratch");
+    const MicroarchConfig &config = scratch.config;
     end = std::min(end, trace.size());
     ACDSE_CHECK(begin < end, "empty simulation interval");
     const DecodedTrace::Op *ops = trace.ops();
@@ -158,22 +204,21 @@ replay(const MicroarchConfig &config, const DecodedTrace &trace,
     while (rob_alloc < rob_size)
         rob_alloc <<= 1;
     const std::size_t rob_mask = rob_alloc - 1;
-    CoreScratch &cs = scratch.core;
-    auto &rob = cs.rob;
-    rob.assign(rob_alloc, CoreScratch::RobSlot{});
-    auto &fetch_queue = cs.fetchQueue;
+    auto &rob = scratch.rob;
+    rob.assign(rob_alloc, SimScratch::RobSlot{});
+    auto &fetch_queue = scratch.fetchQueue;
     fetch_queue.clear();
-    auto &iq = cs.iq;
+    auto &iq = scratch.iq;
     iq.clear();
     iq.reserve(iq_size);
-    auto &iq_sleep = cs.iqSleep;
+    auto &iq_sleep = scratch.iqSleep;
     iq_sleep.clear();
     iq_sleep.reserve(iq_size);
-    auto &wb_ring = cs.wbRing;
+    auto &wb_ring = scratch.wbRing;
     wb_ring.assign(kCoreRingSize, 0);
-    auto &resolve_ring = cs.resolveRing;
+    auto &resolve_ring = scratch.resolveRing;
     resolve_ring.assign(kCoreRingSize, 0);
-    auto &div_busy = cs.divBusy;
+    auto &div_busy = scratch.divBusy;
     div_busy.assign(static_cast<std::size_t>(fus.fpMulDiv), 0);
 
     std::size_t commit_idx = begin;
@@ -198,14 +243,14 @@ replay(const MicroarchConfig &config, const DecodedTrace &trace,
     bool iq_all_cached = false;
     std::uint64_t iq_min_sleep = 0;
 
-    auto slot = [&](std::size_t idx) -> CoreScratch::RobSlot & {
+    auto slot = [&](std::size_t idx) -> SimScratch::RobSlot & {
         return rob[idx & rob_mask];
     };
 
     // When does this source operand allow issue? 0 = ready now;
     // kCoreNotReady = blocked on an unissued producer; otherwise
     // the producer's completion cycle. The issue loop treats 0 as
-    // "ready" (matching the scalar path's src_ready) and the
+    // "ready" (the reference's src_ready) and the
     // idle-skip block min-folds the rest into its wake bound.
     auto src_wake = [&](std::size_t idx,
                         std::uint32_t dist) -> std::uint64_t {
@@ -215,7 +260,7 @@ replay(const MicroarchConfig &config, const DecodedTrace &trace,
         if (producer < commit_idx ||
             dist > static_cast<std::uint32_t>(idx - begin))
             return 0; // committed, or before the interval
-        const CoreScratch::RobSlot &p = slot(producer);
+        const SimScratch::RobSlot &p = slot(producer);
         if (!p.issued)
             // While unissued, readyCycle carries a published lower
             // bound on the eventual result cycle (see the issue
@@ -269,7 +314,7 @@ replay(const MicroarchConfig &config, const DecodedTrace &trace,
              ++c) {
             if (commit_idx >= dispatch_idx)
                 break; // nothing dispatched
-            CoreScratch::RobSlot &e = slot(commit_idx);
+            SimScratch::RobSlot &e = slot(commit_idx);
             if (!e.issued || e.readyCycle > cycle)
                 break;
             const DecodedTrace::Op &op = ops[commit_idx];
@@ -423,7 +468,7 @@ replay(const MicroarchConfig &config, const DecodedTrace &trace,
                 const std::uint64_t done =
                     cycle + static_cast<std::uint64_t>(latency);
 
-                CoreScratch::RobSlot &e = slot(idx);
+                SimScratch::RobSlot &e = slot(idx);
                 e.issued = true;
                 if (op.flags & DecodedTrace::kOpProduces) {
                     e.readyCycle = writeback_slot(done);
@@ -460,7 +505,7 @@ replay(const MicroarchConfig &config, const DecodedTrace &trace,
         for (std::size_t d = 0; d < width; ++d) {
             if (fq_head >= fetch_queue.size())
                 break;
-            const CoreScratch::Fetched &f = fetch_queue[fq_head];
+            const SimScratch::Fetched &f = fetch_queue[fq_head];
             if (f.readyAt > cycle)
                 break;
             const DecodedTrace::Op &op = ops[f.idx];
@@ -487,7 +532,7 @@ replay(const MicroarchConfig &config, const DecodedTrace &trace,
                 break;
             }
 
-            CoreScratch::RobSlot &e = slot(f.idx);
+            SimScratch::RobSlot &e = slot(f.idx);
             e.readyCycle = kCoreNotReady;
             e.issued = false;
             progress = true;
@@ -624,16 +669,16 @@ replay(const MicroarchConfig &config, const DecodedTrace &trace,
         } else {
             // Frozen cycle: the pipeline replays it unchanged until
             // the next scheduled event, so jump straight there.
-            // This is where the batched path beats the scalar
-            // reference -- stall-bound stretches (memory latency,
-            // unresolved branches) collapse to one iteration.
+            // This is where the engine beats the reference loop --
+            // stall-bound stretches (memory latency, unresolved
+            // branches) collapse to one iteration.
             // Identity is preserved because a frozen cycle's only
             // observable effects are the stall counters recorded
             // above, which are credited per skipped cycle below.
             std::uint64_t wake = cycle_limit;
             // Commit: the oldest in-flight instruction completes.
             if (commit_idx < dispatch_idx) {
-                const CoreScratch::RobSlot &e = slot(commit_idx);
+                const SimScratch::RobSlot &e = slot(commit_idx);
                 if (e.issued && e.readyCycle > cycle)
                     wake = std::min(wake, e.readyCycle);
             }
@@ -731,32 +776,36 @@ replay(const MicroarchConfig &config, const DecodedTrace &trace,
     return stats;
 }
 
+namespace
+{
+
 /** One configuration: warm-up + timed run + result assembly. */
 SimulationResult
 simulateOne(const MicroarchConfig &config, const DecodedTrace &trace,
             const SimulationOptions &options, SimScratch &scratch)
 {
-    EnergyModel &energy = recycle(scratch.energy, config);
-    recycle(scratch.hierarchy, config);
-    recycle(scratch.bpred, config.bpredEntries());
-    recycle(scratch.btb, config.btbEntries());
+    EnergyModel &energy = scratch.configure(config);
 
     std::size_t begin = 0;
     if (options.warmupInstructions > 0 && trace.size() > 2) {
         // Warm microarchitectural state with an untimed run over the
         // prefix; discard its statistics and energy events.
         begin = std::min(options.warmupInstructions, trace.size() / 2);
-        replay(config, trace, 0, begin, scratch);
+        replay(trace, 0, begin, scratch);
         energy.resetCounts();
     }
 
     SimulationResult result;
-    result.stats = replay(config, trace, begin, trace.size(), scratch);
+    result.stats = replay(trace, begin, trace.size(), scratch);
     result.dynamicNj = energy.dynamicEnergyNj();
     result.staticNj = energy.staticEnergyNj(result.stats.cycles);
     result.metrics = Metrics::fromCyclesEnergy(
         static_cast<double>(result.stats.cycles),
         result.dynamicNj + result.staticNj);
+    // Everything downstream (training sets, the campaign cache, served
+    // predictions) assumes simulation output is finite and positive;
+    // catch a broken energy/timing model here, not three layers later
+    // as a NaN prediction.
     ACDSE_CHECK_FINITE(result.metrics.cycles, "simulated cycles");
     ACDSE_CHECK_FINITE(result.metrics.energyNj, "simulated energy");
     ACDSE_CHECK(result.metrics.cycles > 0.0,

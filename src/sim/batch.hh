@@ -1,13 +1,11 @@
 /**
  * @file
- * Decoded-trace simulator replay for design-space campaigns.
+ * The simulator engine: decoded-trace replay of the out-of-order core.
  *
- * A design-space campaign evaluates the *same* trace under hundreds of
- * configurations. The scalar path (sim/simulator.hh) rebuilds every
- * simulator structure per call and re-derives every instruction's
- * properties per config; this path replays one decoded trace against
- * each configuration in turn, one configuration to completion at a
- * time:
+ * This is the library's one transcription of the pipeline described in
+ * sim/core.hh. Every simulation runs through it -- simulate(), the
+ * campaign fill, the SimPoint/SMARTS estimators -- one configuration
+ * to completion at a time:
  *
  *  - DecodedTrace precomputes per-instruction properties (latency,
  *    functional-unit pool, energy event, class flags) once per trace
@@ -20,10 +18,15 @@
  *  - The engine skips idle cycles and caches operand wake-up bounds
  *    (see batch.cc); both are provably invisible in the results.
  *
- * Contract: per-config results are BIT-IDENTICAL to scalar simulate()
- * (tests/test_batch_sim.cc compares every result field with EXPECT_EQ
- * and pins a golden digest). The shared tables in sim/core_ops.hh keep
- * the two transcriptions of the pipeline from drifting.
+ * Two levels of API: simulateBatch() runs whole simulations (warm-up,
+ * timed run, metrics); configure(), replay() and warm() expose the
+ * interval steps for callers that time only parts of a trace.
+ *
+ * Contract: results are BIT-IDENTICAL to the straightforward
+ * cycle-by-cycle loop kept in tests/reference_sim.cc.
+ * tests/test_batch_sim.cc compares every result field with EXPECT_EQ
+ * against it and pins golden digests; the shared tables in
+ * sim/core_ops.hh keep the two from drifting.
  *
  * Observability: simulateBatch() runs under a "sim/batch" trace span
  * and feeds two counters -- "sim/instructions" (instructions committed
@@ -120,31 +123,94 @@ class DecodedTrace
 
 /**
  * One set of simulator components, owned by the caller and recycled
- * across simulateBatch() calls. First use constructs each component;
- * every later configuration reconfigures it in place (O(1)
- * invalidation via epochs -- see Cache::reconfigure), so steady-state
- * replay allocates nothing. One scratch serves one thread; it is
- * storage, never state: results do not depend on what ran through it
- * before.
+ * across simulations. configure() constructs each component on first
+ * use and reconfigures it in place afterwards (O(1) invalidation via
+ * epochs -- see Cache::reconfigure), so steady-state replay allocates
+ * nothing. One scratch serves one thread.
+ *
+ * Caches and predictors carry state from one replay()/warm() call to
+ * the next until the next configure(), which leaves them exactly as
+ * freshly built ones; the pipeline storage is only storage, rewritten
+ * at the start of every replay().
  */
 struct SimScratch
 {
+    /** Per-in-flight-instruction bookkeeping (ROB ring slot). */
+    struct RobSlot
+    {
+        std::uint64_t readyCycle;   //!< result availability cycle
+        bool issued;                //!< left the issue queue
+    };
+
+    /** One fetched instruction waiting to dispatch (front-end depth). */
+    struct Fetched
+    {
+        std::size_t idx;            //!< trace index
+        std::uint64_t readyAt;      //!< cycle it becomes dispatchable
+    };
+
+    /**
+     * Build or reconfigure every component for @p design and record
+     * it in config: cold caches and predictors, zero energy counts.
+     * Returns the energy model, which accumulates the events of every
+     * replay() until the next configure() or
+     * EnergyModel::resetCounts().
+     */
+    EnergyModel &configure(const MicroarchConfig &design);
+
+    MicroarchConfig config;                  //!< set by configure()
     std::optional<EnergyModel> energy;       //!< event accounting
     std::optional<CacheHierarchy> hierarchy; //!< L1I/L1D/L2
     std::optional<GsharePredictor> bpred;    //!< direction predictor
     std::optional<Btb> btb;                  //!< target buffer
-    CoreScratch core;                        //!< pipeline storage
+
+    std::vector<RobSlot> rob;           //!< ROB ring
+    std::vector<Fetched> fetchQueue;    //!< FIFO via head index
+    std::vector<std::size_t> iq;        //!< age-ordered issue queue
+    /**
+     * Parallel to iq: the earliest cycle the entry's operands can be
+     * ready, or 0 when unknown. A nonzero value is exact -- the max of
+     * both producers' immutable readyCycle -- so replay() skips the
+     * entry without rescanning until the value expires.
+     */
+    std::vector<std::uint64_t> iqSleep;
+    std::vector<std::uint8_t> wbRing;   //!< write-port usage per cycle
+    std::vector<std::uint8_t> resolveRing; //!< branch resolutions
+    std::vector<std::uint64_t> divBusy; //!< per-divider busy-until
 };
 
 /**
+ * Timed run over decoded instructions [begin, end) of @p trace (end is
+ * clamped to the trace size) on the configuration and components of
+ * @p scratch, which must have been configured. Caches and predictors
+ * keep their state across calls, so warm-up runs, functional warming
+ * and several timed intervals can follow each other; energy events
+ * accumulate into the scratch's energy model.
+ *
+ * @return the interval's timing statistics.
+ */
+CoreStats replay(const DecodedTrace &trace, std::size_t begin,
+                 std::size_t end, SimScratch &scratch);
+
+/**
+ * Functional warming (SMARTS-style): stream decoded instructions
+ * [begin, end) through the caches, branch predictor and BTB of
+ * @p scratch (already configured) without modelling timing and
+ * without recording energy events. Orders of magnitude cheaper than
+ * replay(); used between detailed measurement intervals.
+ */
+void warm(const DecodedTrace &trace, std::size_t begin, std::size_t end,
+          SimScratch &scratch);
+
+/**
  * Replay @p trace against every configuration in @p configs, one after
- * another, and write one SimulationResult per config into @p results.
- * Bit-identical to calling simulate(configs[i], trace.source(),
- * options) per config.
+ * another, and write one SimulationResult per config into @p results:
+ * configure(), an untimed replay() over the warm-up prefix whose energy
+ * events are discarded, then the timed replay() over the rest.
  *
  * @param configs the design points (results follow this order).
  * @param trace   the decoded trace, shared read-only.
- * @param options warmup control, as for simulate().
+ * @param options warmup control (SimulationOptions).
  * @param results output span, at least configs.size() entries.
  * @param scratch caller-owned components (reused across calls).
  */

@@ -1,13 +1,14 @@
 /**
  * @file
- * Per-instruction-class properties shared by the scalar core model
- * (core.cc) and the decoded replay path (batch.cc).
+ * Per-instruction-class properties: execution latency, functional-unit
+ * pool and energy event.
  *
- * Both paths must map an InstClass to the *same* execution latency,
- * functional-unit pool and energy event, or the decoded replay's
- * bit-identity contract against scalar simulate() breaks. Keeping the
- * tables in one header makes divergence a link error instead of a
- * silently drifting copy.
+ * The engine's trace decoder (sim/batch.cc) bakes them into every
+ * DecodedTrace::Op, and the reference simulator the engine is tested
+ * against (tests/reference_sim.cc) looks them up per instruction. Both
+ * must map an InstClass to the *same* values, or the engine's
+ * bit-identity contract breaks; keeping the tables in one header means
+ * there is only one copy to edit.
  */
 
 #pragma once

@@ -4,8 +4,7 @@
 
 #include "base/check.hh"
 #include "base/logging.hh"
-#include "sim/core.hh"
-#include "sim/simulator.hh"
+#include "sim/batch.hh"
 
 namespace acdse
 {
@@ -23,15 +22,17 @@ simulateWithSimPoints(const MicroarchConfig &config, const Trace &trace,
     std::vector<double> energy_per_interval(analysis.numIntervals, 0.0);
     std::uint64_t timed = 0;
 
+    const DecodedTrace decoded(trace);
+    SimScratch scratch;
     for (const auto &point : analysis.points) {
         const std::size_t begin = point.intervalIndex * len;
         const std::size_t end = std::min(begin + len, trace.size());
-        EnergyModel energy(config);
-        OooCore core(config, energy);
-        // Warm microarchitectural state from the preceding interval.
+        // Each representative starts from cold state, warmed from the
+        // preceding interval.
+        const EnergyModel &energy = scratch.configure(config);
         if (begin >= len)
-            core.warm(trace, begin - len, begin);
-        const CoreStats stats = core.run(trace, begin, end);
+            warm(decoded, begin - len, begin, scratch);
+        const CoreStats stats = replay(decoded, begin, end, scratch);
         timed += stats.instructions;
         cycles_per_interval[point.intervalIndex] =
             static_cast<double>(stats.cycles);
@@ -59,8 +60,9 @@ simulateWithSmarts(const MicroarchConfig &config, const Trace &trace,
     const std::size_t num_units =
         (trace.size() + unit - 1) / unit;
 
-    EnergyModel energy(config);
-    OooCore core(config, energy);
+    const DecodedTrace decoded(trace);
+    SimScratch scratch;
+    EnergyModel &energy = scratch.configure(config);
 
     double measured_cycles = 0.0;
     double measured_energy = 0.0;
@@ -75,7 +77,7 @@ simulateWithSmarts(const MicroarchConfig &config, const Trace &trace,
             (options.offset % options.samplingPeriod);
         if (measure) {
             energy.resetCounts();
-            const CoreStats stats = core.run(trace, begin, end);
+            const CoreStats stats = replay(decoded, begin, end, scratch);
             measured_cycles += static_cast<double>(stats.cycles);
             measured_energy += energy.dynamicEnergyNj() +
                                energy.staticEnergyNj(stats.cycles);
@@ -84,7 +86,7 @@ simulateWithSmarts(const MicroarchConfig &config, const Trace &trace,
         } else {
             // Functional warming only: caches and predictors stay hot,
             // no timing is modelled.
-            core.warm(trace, begin, end);
+            warm(decoded, begin, end, scratch);
         }
     }
     ACDSE_CHECK(measured_units > 0, "no units were measured");

@@ -4,9 +4,10 @@
  *
  * The paper's own campaign uses SimPoint [1] to cut simulation time;
  * SMARTS [2] is the other standard technique. Both are implemented
- * here on top of the cycle-level core so their accuracy/speed
- * trade-off can be measured against full simulation
- * (bench_sampling_methods):
+ * here on the simulator engine's interval API (sim/batch.hh: a timed
+ * replay() of an instruction range, functional warm()), decoding the
+ * trace once per call, so their accuracy/speed trade-off can be
+ * measured against full simulation (bench_sampling_methods):
  *
  *  - SimPoint: simulate one representative interval per program phase
  *    (phases found by clustering basic-block vectors) and combine the
@@ -36,8 +37,9 @@ struct SampledResult
 
 /**
  * SimPoint-style estimate: time only the representative intervals and
- * scale by the cluster weights. Microarchitectural state is warmed by
- * running (untimed) from the preceding interval where available.
+ * scale by the cluster weights. Each representative starts from cold
+ * state, functionally warmed over the preceding interval where there
+ * is one.
  *
  * @param config  the design point.
  * @param trace   the full trace.
@@ -57,8 +59,9 @@ struct SmartsOptions
 
 /**
  * SMARTS-style estimate: every k-th unit is measured in detail; the
- * units in between are run through the same pipeline for functional
- * warming but their cycles are replaced by the measured-unit average.
+ * units in between only warm caches and predictors functionally (no
+ * timing), and the measured-unit average is extrapolated to the whole
+ * trace.
  */
 SampledResult simulateWithSmarts(const MicroarchConfig &config,
                                  const Trace &trace,

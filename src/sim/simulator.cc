@@ -1,9 +1,10 @@
 #include "sim/simulator.hh"
 
-#include <algorithm>
+#include <span>
 
 #include "base/check.hh"
 #include "base/logging.hh"
+#include "sim/batch.hh"
 
 namespace acdse
 {
@@ -56,35 +57,9 @@ SimulationResult
 simulate(const MicroarchConfig &config, const Trace &trace,
          const SimulationOptions &options)
 {
-    CoreScratch scratch;
-    EnergyModel energy(config);
-    OooCore core(config, energy);
-
-    std::size_t begin = 0;
-    if (options.warmupInstructions > 0 && trace.size() > 2) {
-        // Warm microarchitectural state with an untimed run over the
-        // prefix; discard its statistics and energy events.
-        begin = std::min(options.warmupInstructions, trace.size() / 2);
-        core.run(trace, 0, begin, scratch);
-        energy.resetCounts();
-    }
-
-    SimulationResult result;
-    result.stats = core.run(trace, begin, SIZE_MAX, scratch);
-    result.dynamicNj = energy.dynamicEnergyNj();
-    result.staticNj = energy.staticEnergyNj(result.stats.cycles);
-    result.metrics = Metrics::fromCyclesEnergy(
-        static_cast<double>(result.stats.cycles),
-        result.dynamicNj + result.staticNj);
-    // Everything downstream (training sets, the campaign cache, served
-    // predictions) assumes simulation output is finite and positive;
-    // catch a broken energy/timing model here, not three layers later
-    // as a NaN prediction.
-    ACDSE_CHECK_FINITE(result.metrics.cycles, "simulated cycles");
-    ACDSE_CHECK_FINITE(result.metrics.energyNj, "simulated energy");
-    ACDSE_CHECK(result.metrics.cycles > 0.0,
-                "simulation produced no cycles");
-    return result;
+    return simulateBatch(std::span<const MicroarchConfig>(&config, 1),
+                         trace, options)
+        .front();
 }
 
 } // namespace acdse

@@ -37,7 +37,12 @@ struct SimulationResult
     double staticNj;    //!< leakage + clock energy share
 };
 
-/** Run one full simulation of @p trace on @p config. */
+/**
+ * Run one full simulation of @p trace on @p config: decode the trace
+ * and run the engine (sim/batch.hh) for this one configuration. A
+ * caller simulating one trace under many configurations should decode
+ * it once and call simulateBatch() instead.
+ */
 SimulationResult simulate(const MicroarchConfig &config, const Trace &trace,
                           const SimulationOptions &options = {});
 

@@ -1,12 +1,17 @@
 /**
  * @file
- * Unit and property tests for the out-of-order core timing model.
+ * Unit and property tests for the out-of-order core timing model, run
+ * through the simulator engine: simulate() for whole traces, the
+ * interval API of sim/batch.hh for partial ones. The OooCore suite
+ * keeps the name of the core class these cases were first written
+ * for, so their test IDs stay stable.
  */
 
 #include <gtest/gtest.h>
 
 #include "arch/design_space.hh"
 #include "base/rng.hh"
+#include "sim/batch.hh"
 #include "sim/simulator.hh"
 #include "trace/suites.hh"
 #include "trace/trace_generator.hh"
@@ -37,9 +42,7 @@ idealTrace(std::size_t length)
 TEST(OooCore, CommitsEveryInstruction)
 {
     const Trace t = makeTrace("gzip");
-    EnergyModel energy(DesignSpace::baseline());
-    OooCore core(DesignSpace::baseline(), energy);
-    const CoreStats stats = core.run(t);
+    const CoreStats stats = simulate(DesignSpace::baseline(), t).stats;
     EXPECT_EQ(stats.instructions, t.size());
     EXPECT_GT(stats.cycles, 0u);
 }
@@ -49,9 +52,7 @@ TEST(OooCore, IpcNeverExceedsWidth)
     for (int width : {2, 4, 8}) {
         MicroarchConfig config = DesignSpace::baseline();
         config.set(Param::Width, width);
-        EnergyModel energy(config);
-        OooCore core(config, energy);
-        const CoreStats stats = core.run(idealTrace(8000));
+        const CoreStats stats = simulate(config, idealTrace(8000)).stats;
         EXPECT_LE(stats.ipc(), static_cast<double>(width) + 1e-9);
     }
 }
@@ -60,10 +61,8 @@ TEST(OooCore, IndependentAluCodeApproachesWidth)
 {
     // Ideal trace, 4-wide: the only limits are read ports (none: no
     // sources) and the ALU pool; IPC should be close to the width.
-    MicroarchConfig config = DesignSpace::baseline();
-    EnergyModel energy(config);
-    OooCore core(config, energy);
-    const CoreStats stats = core.run(idealTrace(12000));
+    const CoreStats stats =
+        simulate(DesignSpace::baseline(), idealTrace(12000)).stats;
     EXPECT_GT(stats.ipc(), 3.0);
 }
 
@@ -74,9 +73,8 @@ TEST(OooCore, WiderIsFasterOnIlpRichCode)
     MicroarchConfig wide = DesignSpace::baseline();
     wide.set(Param::Width, 8);
     const Trace t = idealTrace(12000);
-    EnergyModel e1(narrow), e2(wide);
-    const CoreStats n = OooCore(narrow, e1).run(t);
-    const CoreStats w = OooCore(wide, e2).run(t);
+    const CoreStats n = simulate(narrow, t).stats;
+    const CoreStats w = simulate(wide, t).stats;
     EXPECT_LT(w.cycles, n.cycles);
 }
 
@@ -93,21 +91,19 @@ TEST(OooCore, SerialChainBoundByLatency)
     Trace t("chain", std::move(insts));
     MicroarchConfig config = DesignSpace::baseline();
     config.set(Param::Width, 8);
-    EnergyModel energy(config);
-    const CoreStats stats = OooCore(config, energy).run(t);
+    const CoreStats stats = simulate(config, t).stats;
     EXPECT_GE(stats.cycles, t.size());
 }
 
 TEST(OooCore, DeterministicAcrossRuns)
 {
     const Trace t = makeTrace("twolf");
-    MicroarchConfig config = DesignSpace::baseline();
-    EnergyModel e1(config), e2(config);
-    const CoreStats a = OooCore(config, e1).run(t);
-    const CoreStats b = OooCore(config, e2).run(t);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.mispredicts, b.mispredicts);
-    EXPECT_NEAR(e1.dynamicEnergyNj(), e2.dynamicEnergyNj(), 1e-9);
+    const MicroarchConfig config = DesignSpace::baseline();
+    const SimulationResult a = simulate(config, t);
+    const SimulationResult b = simulate(config, t);
+    EXPECT_EQ(a.stats.cycles, b.stats.cycles);
+    EXPECT_EQ(a.stats.mispredicts, b.stats.mispredicts);
+    EXPECT_NEAR(a.dynamicNj, b.dynamicNj, 1e-9);
 }
 
 TEST(OooCore, BiggerDcacheClearlyReducesMisses)
@@ -117,8 +113,7 @@ TEST(OooCore, BiggerDcacheClearlyReducesMisses)
     auto misses = [&](int kb) {
         MicroarchConfig config = DesignSpace::baseline();
         config.set(Param::Dl1Size, kb);
-        EnergyModel energy(config);
-        return OooCore(config, energy).run(t).dl1Misses;
+        return simulate(config, t).stats.dl1Misses;
     };
     EXPECT_LT(misses(128) * 3 / 2, misses(8));
 }
@@ -144,10 +139,9 @@ TEST(OooCore, HardBranchesCostCycles)
         }
         return Trace(random ? "rand" : "easy", std::move(insts));
     };
-    MicroarchConfig config = DesignSpace::baseline();
-    EnergyModel e1(config), e2(config);
-    const CoreStats easy = OooCore(config, e1).run(build(false));
-    const CoreStats hard = OooCore(config, e2).run(build(true));
+    const MicroarchConfig config = DesignSpace::baseline();
+    const CoreStats easy = simulate(config, build(false)).stats;
+    const CoreStats hard = simulate(config, build(true)).stats;
     EXPECT_GT(hard.mispredicts, easy.mispredicts + 100);
     EXPECT_GT(hard.cycles, easy.cycles);
 }
@@ -156,21 +150,21 @@ TEST(OooCore, MemoryBoundCodeIsSlow)
 {
     const Trace fast = makeTrace("crc32", 8000);
     const Trace slow = makeTrace("mcf", 8000);
-    MicroarchConfig config = DesignSpace::baseline();
-    EnergyModel e1(config), e2(config);
-    const CoreStats f = OooCore(config, e1).run(fast);
-    const CoreStats s = OooCore(config, e2).run(slow);
+    const MicroarchConfig config = DesignSpace::baseline();
+    const CoreStats f = simulate(config, fast).stats;
+    const CoreStats s = simulate(config, slow).stats;
     EXPECT_GT(f.ipc(), 2.0 * s.ipc());
 }
 
 TEST(OooCore, IntervalRunsPartition)
 {
+    // Two timed intervals back to back on one configured scratch.
     const Trace t = makeTrace("gap", 6000);
-    MicroarchConfig config = DesignSpace::baseline();
-    EnergyModel energy(config);
-    OooCore core(config, energy);
-    const CoreStats first = core.run(t, 0, 3000);
-    const CoreStats second = core.run(t, 3000, 6000);
+    const DecodedTrace decoded(t);
+    SimScratch scratch;
+    scratch.configure(DesignSpace::baseline());
+    const CoreStats first = replay(decoded, 0, 3000, scratch);
+    const CoreStats second = replay(decoded, 3000, 6000, scratch);
     EXPECT_EQ(first.instructions + second.instructions, 6000u);
 }
 
@@ -198,9 +192,8 @@ TEST(OooCore, TinyRegisterFileStallsDispatch)
     MicroarchConfig tiny = DesignSpace::baseline();
     tiny.set(Param::RfSize, 40);
     const Trace t = makeTrace("swim", 8000);
-    EnergyModel e1(big), e2(tiny);
-    const CoreStats b = OooCore(big, e1).run(t);
-    const CoreStats s = OooCore(tiny, e2).run(t);
+    const CoreStats b = simulate(big, t).stats;
+    const CoreStats s = simulate(tiny, t).stats;
     EXPECT_GT(s.dispatchStallRegs, b.dispatchStallRegs);
     EXPECT_GT(s.cycles, b.cycles);
 }

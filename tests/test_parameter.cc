@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "arch/parameter.hh"
 
 namespace acdse
@@ -18,7 +20,11 @@ TEST(Parameter, ThirteenParameters)
     EXPECT_EQ(paramSpecs().size(), 13u);
 }
 
-/** Table 1's per-parameter value counts. */
+/**
+ * Table 1's per-parameter value counts. gtest names each case by the
+ * struct's bytes, so the struct has no padding: padding bytes are
+ * indeterminate and made the test names differ from build to build.
+ */
 struct CountCase
 {
     Param param;
@@ -26,7 +32,10 @@ struct CountCase
     int min;
     int max;
     int baseline;
+    int unused = 0; //!< fills the tail padding
 };
+static_assert(std::has_unique_object_representations_v<CountCase>,
+              "CountCase must have no padding bytes");
 
 class Table1Counts : public ::testing::TestWithParam<CountCase>
 {

@@ -11,7 +11,9 @@
 #include <cmath>
 
 #include "arch/design_space.hh"
+#include "base/binary_io.hh"
 #include "base/statistics.hh"
+#include "sim/batch.hh"
 #include "sim/sampled_sim.hh"
 #include "sim/simulator.hh"
 #include "trace/suites.hh"
@@ -146,6 +148,71 @@ TEST(SampledSim, SmartsOffsetChangesUnits)
     const SampledResult ra = simulateWithSmarts(config, trace, a);
     const SampledResult rb = simulateWithSmarts(config, trace, b);
     EXPECT_NE(ra.metrics.cycles, rb.metrics.cycles);
+}
+
+/** Append every SampledResult field, in declaration order. */
+void
+appendSampled(BinaryWriter &w, const SampledResult &r)
+{
+    w.f64(r.metrics.cycles);
+    w.f64(r.metrics.energyNj);
+    w.f64(r.metrics.ed);
+    w.f64(r.metrics.edd);
+    w.u64(r.simulatedInstructions);
+    w.f64(r.detailFraction);
+}
+
+// Golden fingerprint of the sampled estimators and of interval
+// simulation: SimPoint and two SMARTS settings, plus one run that warms
+// the first fifth of the trace functionally and times the rest (the
+// energy_breakdown pattern), hashing its 13 CoreStats counters and
+// every energy-event count. Three programs x four configurations. Any
+// change to functional warming, interval timing or the estimators'
+// arithmetic moves it. The value was recorded with the earlier scalar
+// core, so it also pins the engine's interval API to that one.
+TEST(SampledSimGolden, ThreeProgramsFourConfigs)
+{
+    const auto configs = DesignSpace::sampleValidConfigs(4, 909);
+    SimPointOptions simpoint;
+    simpoint.intervalLength = 1000;
+    simpoint.maxClusters = 5;
+    SmartsOptions every_fourth;
+    every_fourth.unitInstructions = 500;
+    every_fourth.samplingPeriod = 4;
+    SmartsOptions sparse_offset;
+    sparse_offset.unitInstructions = 250;
+    sparse_offset.samplingPeriod = 8;
+    sparse_offset.offset = 3;
+
+    BinaryWriter w;
+    for (const char *program : {"gcc", "mcf", "art"}) {
+        const Trace trace = makeTrace(program, 12000);
+        for (const MicroarchConfig &config : configs) {
+            appendSampled(w,
+                          simulateWithSimPoints(config, trace, simpoint));
+            appendSampled(w,
+                          simulateWithSmarts(config, trace, every_fourth));
+            appendSampled(w,
+                          simulateWithSmarts(config, trace, sparse_offset));
+
+            const DecodedTrace decoded(trace);
+            SimScratch scratch;
+            const EnergyModel &energy = scratch.configure(config);
+            warm(decoded, 0, trace.size() / 5, scratch);
+            const CoreStats s =
+                replay(decoded, trace.size() / 5, trace.size(), scratch);
+            for (const std::uint64_t v :
+                 {s.cycles, s.instructions, s.branches, s.mispredicts,
+                  s.btbMisses, s.il1Misses, s.dl1Misses, s.l2Misses,
+                  s.dispatchStallRob, s.dispatchStallIq,
+                  s.dispatchStallLsq, s.dispatchStallRegs,
+                  s.fetchStallBranches})
+                w.u64(v);
+            for (std::size_t e = 0; e < kNumEnergyEvents; ++e)
+                w.u64(energy.count(static_cast<EnergyEvent>(e)));
+        }
+    }
+    EXPECT_EQ(fnv1a64(w.buffer()), 0xf0b3137142eeba03ULL);
 }
 
 TEST(SampledSimDeathTest, RejectsZeroUnit)
