@@ -8,11 +8,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <span>
+
 #include "arch/design_space.hh"
 #include "base/rng.hh"
 #include "core/program_specific_predictor.hh"
 #include "ml/kmeans.hh"
 #include "ml/linear_regression.hh"
+#include "sim/batch.hh"
 #include "sim/branch_predictor.hh"
 #include "sim/cache.hh"
 #include "sim/simulator.hh"
@@ -44,9 +47,15 @@ BM_SimulateBaseline(benchmark::State &state)
     const char *names[] = {"gzip", "swim", "crc32"};
     const Trace trace = TraceGenerator(
         profileByName(names[state.range(0)])).generate(8000);
+    const DecodedTrace decoded(trace);
     const MicroarchConfig config = DesignSpace::baseline();
+    const SimulationOptions options;
+    SimScratch scratch;
+    SimulationResult result;
     for (auto _ : state) {
-        const SimulationResult result = simulate(config, trace);
+        simulateBatch(std::span<const MicroarchConfig>(&config, 1),
+                      decoded, options,
+                      std::span<SimulationResult>(&result, 1), scratch);
         benchmark::DoNotOptimize(result.metrics.cycles);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(

@@ -15,12 +15,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
+#include <span>
 
 #include "arch/design_space.hh"
 #include "base/statistics.hh"
 #include "bench/bench_common.hh"
 #include "core/evaluation.hh"
-#include "sim/simulator.hh"
+#include "sim/batch.hh"
 
 using namespace acdse;
 
@@ -73,33 +74,36 @@ main()
                   return predicted[a] < predicted[b];
               });
 
-    // Validate the predicted top-5 with real simulations.
-    const Trace &trace = campaign.trace(target);
+    // Validate the predicted top-5 with real simulations, and
+    // simulate the baseline as a reference point: one decoded trace
+    // and one set of simulator components for all six.
+    std::vector<MicroarchConfig> validate;
+    for (std::size_t k = 0; k < 5; ++k)
+        validate.push_back(sweep[order[k]]);
+    validate.push_back(DesignSpace::baseline());
     SimulationOptions sim_options;
     sim_options.warmupInstructions =
         campaign.options().warmupInstructions;
+    const auto simulated =
+        simulateBatch(std::span<const MicroarchConfig>(validate),
+                      campaign.trace(target), sim_options);
     std::printf("predicted-best configurations (of %zu swept), "
                 "validated by simulation:\n",
                 sweep_size);
     double best_found = 1e300;
-    for (int k = 0; k < 5; ++k) {
-        const MicroarchConfig &config = sweep[order[static_cast<
-            std::size_t>(k)]];
-        const double actual =
-            simulate(config, trace, sim_options).metrics.get(metric);
+    for (std::size_t k = 0; k < 5; ++k) {
+        const MicroarchConfig &config = validate[k];
+        const double actual = simulated[k].metrics.get(metric);
         best_found = std::min(best_found, actual);
-        std::printf("  #%d  predicted %.3e  simulated %.3e   "
+        std::printf("  #%zu  predicted %.3e  simulated %.3e   "
                     "width=%d rob=%d rf=%d l2=%dKB\n",
-                    k + 1,
-                    predicted[order[static_cast<std::size_t>(k)]],
-                    actual, config.width(), config.robSize(),
-                    config.rfSize(), config.get(Param::L2Size));
+                    k + 1, predicted[order[k]], actual, config.width(),
+                    config.robSize(), config.rfSize(),
+                    config.get(Param::L2Size));
     }
 
     // Reference points: the baseline and the sampled-campaign optimum.
-    const double baseline = simulate(DesignSpace::baseline(), trace,
-                                     sim_options)
-                                .metrics.get(metric);
+    const double baseline = simulated[5].metrics.get(metric);
     const auto row = campaign.metricRow(target, metric);
     const double campaign_best = *std::min_element(row.begin(),
                                                    row.end());

@@ -12,13 +12,15 @@
 
 #include <cstdio>
 #include <iostream>
+#include <span>
+#include <vector>
 
 #include "arch/design_space.hh"
 #include "base/table.hh"
 #include "bench/bench_common.hh"
 #include "core/evaluation.hh"
 #include "explore/explorer.hh"
-#include "sim/simulator.hh"
+#include "sim/batch.hh"
 
 using namespace acdse;
 
@@ -64,28 +66,35 @@ main()
     const auto result = explore::explore(ensembles, options);
     const auto &frontier = result.frontier;
 
-    // Validate (up to) 10 evenly-spaced frontier points by simulation.
-    const Trace &trace = campaign.trace(target);
+    // Validate (up to) 10 evenly-spaced frontier points by simulation,
+    // one decoded trace and one set of simulator components for all.
+    const std::size_t shown = std::min<std::size_t>(10, frontier.size());
+    std::vector<const explore::FrontierConfig *> points;
+    std::vector<MicroarchConfig> configs;
+    for (std::size_t k = 0; k < shown; ++k) {
+        points.push_back(&frontier[k * (frontier.size() - 1) /
+                                   std::max<std::size_t>(1, shown - 1)]);
+        configs.push_back(points.back()->config);
+    }
     SimulationOptions sim_options;
     sim_options.warmupInstructions =
         campaign.options().warmupInstructions;
+    const auto simulated =
+        simulateBatch(std::span<const MicroarchConfig>(configs),
+                      campaign.trace(target), sim_options);
 
     Table table({"pred cycles", "pred energy (uJ)", "sim cycles",
                  "sim energy (uJ)", "width", "L2 KB"});
-    const std::size_t shown = std::min<std::size_t>(10, frontier.size());
     for (std::size_t k = 0; k < shown; ++k) {
-        const explore::FrontierConfig &point =
-            frontier[k * (frontier.size() - 1) /
-                     std::max<std::size_t>(1, shown - 1)];
-        const MicroarchConfig &config = point.config;
-        const SimulationResult real =
-            simulate(config, trace, sim_options);
+        const explore::FrontierConfig &point = *points[k];
+        const SimulationResult &real = simulated[k];
         table.addRow({Table::num(point.x, 0),
                       Table::num(point.y / 1000.0, 1),
                       Table::num(real.metrics.cycles, 0),
                       Table::num(real.metrics.energyNj / 1000.0, 1),
-                      Table::num((long long)config.width()),
-                      Table::num((long long)config.get(Param::L2Size))});
+                      Table::num((long long)point.config.width()),
+                      Table::num(
+                          (long long)point.config.get(Param::L2Size))});
     }
     table.print(std::cout);
     std::printf("\nfrontier size: %zu of 8000 swept configurations\n",

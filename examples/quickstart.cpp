@@ -14,11 +14,12 @@
  */
 
 #include <cstdio>
+#include <span>
 
 #include "arch/design_space.hh"
 #include "base/statistics.hh"
 #include "core/architecture_centric_predictor.hh"
-#include "sim/simulator.hh"
+#include "sim/batch.hh"
 #include "trace/suites.hh"
 #include "trace/trace_generator.hh"
 
@@ -27,7 +28,10 @@ using namespace acdse;
 namespace
 {
 
-/** Simulate one program on a list of configurations. */
+/**
+ * Simulate one program on a list of configurations: one decoded trace
+ * and one set of simulator components serve them all.
+ */
 std::vector<double>
 simulateAll(const std::string &program,
             const std::vector<MicroarchConfig> &configs, Metric metric)
@@ -38,9 +42,9 @@ simulateAll(const std::string &program,
     options.warmupInstructions = 2000;
     std::vector<double> values;
     values.reserve(configs.size());
-    for (const auto &config : configs)
-        values.push_back(simulate(config, trace, options)
-                             .metrics.get(metric));
+    for (const SimulationResult &result : simulateBatch(
+             std::span<const MicroarchConfig>(configs), trace, options))
+        values.push_back(result.metrics.get(metric));
     return values;
 }
 

@@ -11,40 +11,75 @@
 namespace acdse
 {
 
-std::vector<std::string>
-splitCsvLine(const std::string &line)
+namespace
 {
-    std::vector<std::string> cells;
-    std::string cell;
-    std::istringstream is(line);
-    while (std::getline(is, cell, ','))
-        cells.push_back(cell);
-    if (!line.empty() && line.back() == ',')
-        cells.emplace_back();
-    return cells;
+
+/** splitCsvLine() into views of @p line. */
+void
+splitCsvCells(std::string_view line, std::vector<std::string_view> &cells)
+{
+    cells.clear();
+    if (line.empty())
+        return;
+    for (;;) {
+        const std::size_t comma = line.find(',');
+        cells.push_back(line.substr(0, comma));
+        if (comma == std::string_view::npos)
+            return;
+        line.remove_prefix(comma + 1);
+    }
+}
+
+} // namespace
+
+std::vector<std::string>
+splitCsvLine(std::string_view line)
+{
+    std::vector<std::string_view> views;
+    splitCsvCells(line, views);
+    return {views.begin(), views.end()};
+}
+
+CsvReader::CsvReader(const std::string &path) : in_(path)
+{
+    if (!in_ || !std::getline(in_, line_))
+        return;
+    splitCsvCells(line_, cells_);
+    header_.assign(cells_.begin(), cells_.end());
+    cells_.clear();
+    ok_ = true;
+}
+
+bool
+CsvReader::next()
+{
+    if (!ok_ || failed_)
+        return false;
+    while (std::getline(in_, line_)) {
+        if (line_.empty())
+            continue;
+        splitCsvCells(line_, cells_);
+        if (cells_.size() != header_.size()) {
+            failed_ = true;
+            return false;
+        }
+        return true;
+    }
+    cells_.clear();
+    return false;
 }
 
 bool
 readCsv(const std::string &path, CsvFile &out)
 {
-    std::ifstream in(path);
-    if (!in)
+    CsvReader reader(path);
+    if (!reader.ok())
         return false;
-    out.header.clear();
+    out.header.assign(reader.header().begin(), reader.header().end());
     out.rows.clear();
-    std::string line;
-    if (!std::getline(in, line))
-        return false;
-    out.header = splitCsvLine(line);
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        auto cells = splitCsvLine(line);
-        if (cells.size() != out.header.size())
-            return false;
-        out.rows.push_back(std::move(cells));
-    }
-    return true;
+    while (reader.next())
+        out.rows.emplace_back(reader.row().begin(), reader.row().end());
+    return !reader.failed();
 }
 
 void

@@ -1,8 +1,10 @@
 #include "core/campaign.hh"
 
+#include <algorithm>
 #include <atomic>
-#include <span>
 #include <cstdlib>
+#include <span>
+#include <string_view>
 #include <memory>
 #include <sstream>
 #include <unordered_map>
@@ -162,26 +164,47 @@ Campaign::cachePath() const
 std::size_t
 Campaign::loadCacheRowsFrom(const std::string &path)
 {
-    CsvFile file;
-    if (!readCsv(path, file))
+    CsvReader reader(path);
+    if (!reader.ok())
         return 0;
-    if (file.header !=
-        std::vector<std::string>{"program", "config", "cycles",
-                                 "energy_nj"}) {
+    static constexpr std::string_view kHeader[] = {"program", "config",
+                                                   "cycles", "energy_nj"};
+    if (!std::ranges::equal(reader.header(), kHeader)) {
         warn("ignoring campaign cache with unexpected header: ", path);
         return 0;
     }
 
-    // Index configurations by key for O(1) row placement.
-    std::unordered_map<std::string, std::size_t> config_index;
+    // Index configurations by key for O(1) row placement; the maps
+    // take the row's cell views as keys directly.
+    struct ViewHash
+    {
+        using is_transparent = void;
+        std::size_t
+        operator()(std::string_view text) const
+        {
+            return std::hash<std::string_view>{}(text);
+        }
+    };
+    using Index = std::unordered_map<std::string, std::size_t, ViewHash,
+                                     std::equal_to<>>;
+    Index config_index;
     for (std::size_t c = 0; c < configs_.size(); ++c)
         config_index.emplace(configs_[c].key(), c);
-    std::unordered_map<std::string, std::size_t> program_index;
+    Index program_index;
     for (std::size_t p = 0; p < programs_.size(); ++p)
         program_index.emplace(programs_[p], p);
 
-    std::size_t loaded = 0;
-    for (const auto &row : file.rows) {
+    // A file with a ragged row is rejected whole, so rows are placed
+    // only once the reader has reached the end cleanly.
+    struct Row
+    {
+        std::size_t cell;
+        double cycles;
+        double energy;
+    };
+    std::vector<Row> rows;
+    while (reader.next()) {
+        const std::span<const std::string_view> row = reader.row();
         auto pit = program_index.find(row[0]);
         auto cit = config_index.find(row[1]);
         if (pit == program_index.end() || cit == config_index.end())
@@ -192,13 +215,17 @@ Campaign::loadCacheRowsFrom(const std::string &path)
         const auto energy = parseF64(row[3]);
         if (!cycles || !energy || *cycles <= 0.0 || *energy <= 0.0)
             continue;
-        const std::size_t cell =
-            pit->second * configs_.size() + cit->second;
-        results_[cell] = Metrics::fromCyclesEnergy(*cycles, *energy);
-        computed_[cell] = true;
-        ++loaded;
+        rows.push_back({pit->second * configs_.size() + cit->second,
+                        *cycles, *energy});
     }
-    return loaded;
+    if (reader.failed())
+        return 0;
+    for (const Row &row : rows) {
+        results_[row.cell] =
+            Metrics::fromCyclesEnergy(row.cycles, row.energy);
+        computed_[row.cell] = true;
+    }
+    return rows.size();
 }
 
 bool

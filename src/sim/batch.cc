@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "base/check.hh"
 #include "obs/metrics.hh"
@@ -118,38 +120,51 @@ warm(const DecodedTrace &trace, std::size_t begin, std::size_t end,
 
 /*
  * The timed run. All pipeline state lives in locals for the whole
- * interval; the bulky storage (ROB/IQ and ring vectors) is the
+ * interval; the bulky storage (ROB, wheel and ring vectors) is the
  * scratch's, reused across calls.
  *
  * The loop is the cycle-by-cycle pipeline of the reference simulator
  * (tests/reference_sim.cc) -- every structural limit, stall and energy
- * event in the same order. The bit-identity suite
- * (tests/test_batch_sim.cc) compares the two on random configurations.
+ * event in the same order. The bit-identity suites
+ * (tests/test_batch_sim.cc) compare the two on random and extreme
+ * configurations.
  *
- * On top of it sit two provably invisible shortcuts, the source of
- * this engine's speedup over the reference:
+ * Two shortcuts make it fast, and neither is visible in the results:
  *
- *  - Idle-cycle skipping: a cycle in which no stage changed any
+ *  - Event-driven issue. The reference walks the whole issue queue
+ *    every cycle and tests each entry's operands. Here every
+ *    dispatched, unissued instruction is in exactly one of three
+ *    states (SimScratch::RobSlot):
+ *      blocked -- it waits on a producer that has not issued, and is
+ *                 linked into that producer's wake list;
+ *      timed   -- every producer has issued, so the cycle its operands
+ *                 are ready is known; it is parked in the wheel bucket
+ *                 of that cycle;
+ *      ready   -- a bit in a mask over ROB slots.
+ *    A producer's issue walks its wake list, and a consumer whose last
+ *    producer issued is parked at the latest of their result cycles --
+ *    always a later cycle, as no result lands in its issue cycle. Each
+ *    cycle first moves its wheel bucket into the ready mask, then
+ *    walks the ready bits in age order (count-trailing-zeros from the
+ *    oldest in-flight slot) and applies the reference's greedy checks
+ *    unchanged: issue width, functional units per pool, register read
+ *    ports and the non-pipelined dividers. The reference's scan
+ *    visits the same entries in the same order; the ones it skips
+ *    are exactly those whose operands are not ready.
+ *
+ *  - Idle-cycle skipping. A cycle in which no stage changed any
  *    pipeline, cache or predictor state replays identically until the
- *    next scheduled event (a writeback, a fetch-queue arrival, a
- *    block expiring, a branch resolving). The skip block jumps there
- *    in one step and credits the per-cycle stall counters -- the only
- *    observable effect of the skipped cycles -- in bulk.
- *
- *  - An operand wake cache (SimScratch::iqSleep): an IQ entry whose
- *    operands provably cannot be ready before a known cycle is
- *    skipped by the issue scan without touching its producers until
- *    that bound expires. Bounds propagate down dependency chains by
- *    publishing each blocked entry's earliest-result cycle through
- *    the readyCycle field of its still-unissued ROB slot, and a
- *    queue that is entirely asleep skips its scan outright. All
- *    bounds are conservative, so they can only stop the idle skip
- *    early, never carry it past an event.
+ *    next scheduled event (a commit, a wheel bucket, a divider
+ *    freeing, a fetch-queue arrival, a block expiring, a branch
+ *    resolving). The skip block jumps there in one step and credits
+ *    the per-cycle stall counters -- the only observable effect of the
+ *    skipped cycles -- in bulk.
  */
 CoreStats
 replay(const DecodedTrace &trace, std::size_t begin, std::size_t end,
        SimScratch &scratch)
 {
+    using SlotMask = SimScratch::SlotMask;
     ACDSE_DCHECK(scratch.energy, "replay() on an unconfigured scratch");
     const MicroarchConfig &config = scratch.config;
     end = std::min(end, trace.size());
@@ -200,26 +215,39 @@ replay(const DecodedTrace &trace, std::size_t begin, std::size_t end,
     // AND instead of an integer division. Any injective mapping of the
     // <= rob_size in-flight instructions to distinct slots gives
     // identical results; occupancy is still limited by rob_size below.
+    // In-flight instructions are consecutive trace indices, so walking
+    // the slots circularly from the oldest one's visits them in age
+    // order.
     std::size_t rob_alloc = 1;
     while (rob_alloc < rob_size)
         rob_alloc <<= 1;
+    ACDSE_CHECK(rob_alloc <= SimScratch::kMaxRobSlots,
+                "ROB size ", rob_size, " exceeds the simulator's ",
+                SimScratch::kMaxRobSlots, " slots");
     const std::size_t rob_mask = rob_alloc - 1;
+    const std::size_t slot_words = std::max<std::size_t>(1, rob_alloc / 64);
     auto &rob = scratch.rob;
     rob.assign(rob_alloc, SimScratch::RobSlot{});
     auto &fetch_queue = scratch.fetchQueue;
     fetch_queue.clear();
-    auto &iq = scratch.iq;
-    iq.clear();
-    iq.reserve(iq_size);
-    auto &iq_sleep = scratch.iqSleep;
-    iq_sleep.clear();
-    iq_sleep.reserve(iq_size);
+    auto &wheel = scratch.wheel;
+    wheel.resize(kCoreRingSize);
     auto &wb_ring = scratch.wbRing;
     wb_ring.assign(kCoreRingSize, 0);
     auto &resolve_ring = scratch.resolveRing;
     resolve_ring.assign(kCoreRingSize, 0);
     auto &div_busy = scratch.divBusy;
     div_busy.assign(static_cast<std::size_t>(fus.fpMulDiv), 0);
+
+    static_assert((kCoreRingSize & (kCoreRingSize - 1)) == 0 &&
+                      kCoreRingSize % 64 == 0,
+                  "the wheel's occupancy scan needs a power-of-two ring");
+    constexpr std::size_t kWheelWords = kCoreRingSize / 64;
+    // Which wheel buckets hold parked entries.
+    std::array<std::uint64_t, kWheelWords> wheel_used{};
+    // Slots whose operands are ready; the candidates for issue.
+    SlotMask ready{};
+    std::size_t iq_count = 0;
 
     std::size_t commit_idx = begin;
     std::size_t dispatch_idx = begin;
@@ -235,40 +263,31 @@ replay(const DecodedTrace &trace, std::size_t begin, std::size_t end,
     std::size_t inflight_branches = 0;
     std::uint64_t last_fetch_line =
         std::numeric_limits<std::uint64_t>::max();
-    // True when every IQ entry carries a nonzero sleep bound; the min
-    // of those bounds. While the min lies in the future the whole issue
-    // scan is provably a no-op (no entry's operands can be ready) and
-    // is skipped outright. Conservatively rebuilt by the first full
-    // scan.
-    bool iq_all_cached = false;
-    std::uint64_t iq_min_sleep = 0;
 
     auto slot = [&](std::size_t idx) -> SimScratch::RobSlot & {
         return rob[idx & rob_mask];
     };
 
-    // When does this source operand allow issue? 0 = ready now;
-    // kCoreNotReady = blocked on an unissued producer; otherwise
-    // the producer's completion cycle. The issue loop treats 0 as
-    // "ready" (the reference's src_ready) and the
-    // idle-skip block min-folds the rest into its wake bound.
-    auto src_wake = [&](std::size_t idx,
-                        std::uint32_t dist) -> std::uint64_t {
-        if (!dist)
-            return 0;
-        const std::size_t producer = idx - dist;
-        if (producer < commit_idx ||
-            dist > static_cast<std::uint32_t>(idx - begin))
-            return 0; // committed, or before the interval
-        const SimScratch::RobSlot &p = slot(producer);
-        if (!p.issued)
-            // While unissued, readyCycle carries a published lower
-            // bound on the eventual result cycle (see the issue
-            // scan) or kCoreNotReady when none is known; an expired
-            // bound means "unknown" again.
-            return p.readyCycle > cycle ? p.readyCycle
-                                        : kCoreNotReady;
-        return p.readyCycle <= cycle ? 0 : p.readyCycle;
+    // Park slot `s` in the wheel bucket of cycle `at`, which must lie
+    // in (cycle, cycle + kCoreRingSize). A bucket not marked used
+    // holds stale bits from an earlier ring period, so the first entry
+    // overwrites it.
+    auto park = [&](std::size_t s, std::uint64_t at) {
+        ACDSE_DCHECK(at > cycle && at - cycle < kCoreRingSize,
+                     "wake-up outside the timing wheel");
+        const std::size_t b = at % kCoreRingSize;
+        const std::uint64_t used_bit = std::uint64_t{1} << (b % 64);
+        SlotMask &bucket = wheel[b];
+        if (!(wheel_used[b / 64] & used_bit)) {
+            bucket = SlotMask{};
+            wheel_used[b / 64] |= used_bit;
+        }
+        bucket[s / 64] |= std::uint64_t{1} << (s % 64);
+    };
+
+    auto any_ready = [&] {
+        return std::any_of(ready.begin(), ready.end(),
+                           [](std::uint64_t w) { return w != 0; });
     };
 
     // Find the first cycle at or after `from` with a free write
@@ -305,9 +324,6 @@ replay(const DecodedTrace &trace, std::size_t begin, std::size_t end,
         bool progress = resolved != 0;
         std::uint64_t *dispatch_stall = nullptr;
         bool fetch_stalled = false;
-        // Earliest cycle an IQ entry could become issuable,
-        // accumulated for free during the issue scan below.
-        std::uint64_t iq_wake = kCoreNotReady;
 
         // ---- Commit -----------------------------------------------
         for (std::size_t c = 0; c < width && commit_idx < end;
@@ -340,165 +356,124 @@ replay(const DecodedTrace &trace, std::size_t begin, std::size_t end,
         }
 
         // ---- Issue ------------------------------------------------
-        if (iq.empty()) {
-            // nothing to scan
-        } else if (iq_all_cached && iq_min_sleep > cycle) {
-            // Every entry carries an exact future wake bound, so
-            // the scan would keep them all and contribute exactly
-            // the min of the bounds -- take that without scanning.
-            iq_wake = iq_min_sleep;
-        } else {
+        // Entries whose operands become ready this cycle join the
+        // ready set.
+        {
+            const std::size_t b = cycle % kCoreRingSize;
+            const std::uint64_t used_bit = std::uint64_t{1} << (b % 64);
+            if (wheel_used[b / 64] & used_bit) {
+                wheel_used[b / 64] &= ~used_bit;
+                for (std::size_t w = 0; w < slot_words; ++w)
+                    ready[w] |= wheel[b][w];
+            }
+        }
+        if (any_ready()) {
             std::size_t issued = 0;
             int rd_left = rd_ports;
             std::array<int, kNumFuPools> fu_left = fu_counts;
-            std::size_t kept = 0;
-            bool scan_all_cached = true;
-            std::uint64_t scan_min = kCoreNotReady;
-            for (std::size_t pos = 0; pos < iq.size(); ++pos) {
-                const std::size_t idx = iq[pos];
-                // Cached fast path: operands provably not ready
-                // before `sleep` (both producers issued, bound is
-                // their max readyCycle, immutable), so the faithful
-                // scan would fail the entry and fold `sleep` into
-                // iq_wake -- reproduce that without touching the
-                // producers' slots.
-                const std::uint64_t sleep = iq_sleep[pos];
-                if (sleep > cycle) {
-                    iq_wake = std::min(iq_wake, sleep);
-                    scan_min = std::min(scan_min, sleep);
-                    iq[kept] = idx;
-                    iq_sleep[kept] = sleep;
-                    ++kept;
-                    continue;
-                }
-                bool can_issue = issued < width;
-                const DecodedTrace::Op &op = ops[idx];
-                const auto pool =
-                    static_cast<std::size_t>(op.pool);
-                int srcs = (op.srcDist1 ? 1 : 0) +
-                           (op.srcDist2 ? 1 : 0);
-                std::uint64_t next_sleep = 0;
-                if (can_issue && fu_left[pool] > 0 &&
-                    rd_left >= srcs) {
-                    const std::uint64_t w1 =
-                        src_wake(idx, op.srcDist1);
-                    const std::uint64_t w2 =
-                        src_wake(idx, op.srcDist2);
-                    can_issue = w1 == 0 && w2 == 0;
-                    if (!can_issue) {
-                        // Issue needs BOTH operands, so the max of
-                        // the KNOWN per-operand bounds is a valid
-                        // lower bound on this entry's issue even if
-                        // the other operand's wake is unknown
-                        // (kCoreNotReady). Bounds only ever make
-                        // the idle skip stop earlier, which is
-                        // always safe.
-                        std::uint64_t w = 0;
-                        if (w1 != kCoreNotReady)
-                            w = w1;
-                        if (w2 != kCoreNotReady)
-                            w = std::max(w, w2);
-                        if (w) {
-                            iq_wake = std::min(iq_wake, w);
-                            next_sleep = w;
-                        }
+            // Visit the ready slots in age order: from the oldest
+            // in-flight slot to the end of its word and on through the
+            // later words, then wrap around to the slots before it.
+            const std::size_t oldest = commit_idx & rob_mask;
+            const std::size_t first_word = oldest / 64;
+            for (std::size_t k = 0; k <= slot_words && issued < width;
+                 ++k) {
+                const std::size_t w = (first_word + k) & (slot_words - 1);
+                std::uint64_t bits = ready[w];
+                if (k == 0)
+                    bits &= ~std::uint64_t{0} << (oldest % 64);
+                else if (k == slot_words)
+                    bits &= (std::uint64_t{1} << (oldest % 64)) - 1;
+                while (bits) {
+                    const std::size_t s =
+                        w * 64 +
+                        static_cast<std::size_t>(std::countr_zero(bits));
+                    bits &= bits - 1;
+                    const std::size_t idx =
+                        commit_idx + ((s - oldest) & rob_mask);
+                    const DecodedTrace::Op &op = ops[idx];
+                    const auto pool = static_cast<std::size_t>(op.pool);
+                    const int srcs = (op.srcDist1 ? 1 : 0) +
+                                     (op.srcDist2 ? 1 : 0);
+                    if (fu_left[pool] == 0 || rd_left < srcs)
+                        continue;
+                    if (op.flags & DecodedTrace::kOpFpDiv) {
+                        // Non-pipelined: need a divider idle right now.
+                        auto idle = std::find_if(
+                            div_busy.begin(), div_busy.end(),
+                            [&](std::uint64_t busy) {
+                                return busy <= cycle;
+                            });
+                        if (idle == div_busy.end())
+                            continue;
+                        *idle = cycle + fp_div_latency;
                     }
-                } else {
-                    can_issue = false;
-                }
-                if (can_issue &&
-                    (op.flags & DecodedTrace::kOpFpDiv)) {
-                    // Non-pipelined: need a divider idle right now.
-                    can_issue = false;
-                    std::uint64_t div_free = kCoreNotReady;
-                    for (auto &busy : div_busy) {
-                        if (busy <= cycle) {
-                            busy = cycle + fp_div_latency;
-                            can_issue = true;
-                            break;
-                        }
-                        div_free = std::min(div_free, busy);
+
+                    ready[w] &= ~(std::uint64_t{1} << (s % 64));
+                    --iq_count;
+                    ++issued;
+                    progress = true;
+                    rd_left -= srcs;
+                    --fu_left[pool];
+                    energy.add(EnergyEvent::IqIssue);
+                    energy.add(EnergyEvent::RfRead,
+                               static_cast<std::uint64_t>(srcs));
+
+                    int latency = op.latency;
+                    if (op.flags & DecodedTrace::kOpLoad) {
+                        latency += hierarchy.dataAccess(
+                            op.addrOrTarget, false, mem_events);
+                        energy.add(EnergyEvent::LsqSearch);
                     }
-                    if (!can_issue) {
-                        iq_wake = std::min(iq_wake, div_free);
-                        // Busy-until values only grow, so no
-                        // divider frees before div_free: also an
-                        // exact lower bound on this entry's issue.
-                        next_sleep = div_free;
-                    }
-                }
-                if (!can_issue) {
-                    if (next_sleep) {
-                        scan_min = std::min(scan_min, next_sleep);
-                        // Chain propagation: no issue before
-                        // next_sleep means no result before
-                        // next_sleep + execution latency. Publish
-                        // that through the unissued slot's
-                        // readyCycle so consumers later in this
-                        // same scan inherit a bound too. Bounds
-                        // are permanent truths (derived from
-                        // immutable schedules), so stale ones need
-                        // no invalidation -- they merely expire.
-                        slot(idx).readyCycle =
-                            next_sleep +
-                            static_cast<std::uint64_t>(op.latency);
+                    const std::uint64_t done =
+                        cycle + static_cast<std::uint64_t>(latency);
+
+                    SimScratch::RobSlot &e = rob[s];
+                    e.issued = true;
+                    if (op.flags & DecodedTrace::kOpProduces) {
+                        e.readyCycle = writeback_slot(done);
+                        energy.add(EnergyEvent::RfWrite);
+                        energy.add(EnergyEvent::ResultBus);
+                        energy.add(EnergyEvent::IqWakeup);
                     } else {
-                        scan_all_cached = false;
+                        e.readyCycle = done;
                     }
-                    iq[kept] = idx;
-                    iq_sleep[kept] = next_sleep;
-                    ++kept;
-                    continue;
-                }
+                    energy.add(static_cast<EnergyEvent>(op.fuEvent));
 
-                ++issued;
-                progress = true;
-                rd_left -= srcs;
-                --fu_left[pool];
-                energy.add(EnergyEvent::IqIssue);
-                energy.add(EnergyEvent::RfRead,
-                           static_cast<std::uint64_t>(srcs));
-
-                int latency = op.latency;
-                if (op.flags & DecodedTrace::kOpLoad) {
-                    latency += hierarchy.dataAccess(
-                        op.addrOrTarget, false, mem_events);
-                    energy.add(EnergyEvent::LsqSearch);
-                }
-                const std::uint64_t done =
-                    cycle + static_cast<std::uint64_t>(latency);
-
-                SimScratch::RobSlot &e = slot(idx);
-                e.issued = true;
-                if (op.flags & DecodedTrace::kOpProduces) {
-                    e.readyCycle = writeback_slot(done);
-                    energy.add(EnergyEvent::RfWrite);
-                    energy.add(EnergyEvent::ResultBus);
-                    energy.add(EnergyEvent::IqWakeup);
-                } else {
-                    e.readyCycle = done;
-                }
-                energy.add(static_cast<EnergyEvent>(op.fuEvent));
-
-                if (op.flags & DecodedTrace::kOpBranch) {
-                    // Resolution: the branch count drops and, if
-                    // this is the branch fetch is stalled on, fetch
-                    // restarts after the redirect penalty.
-                    const std::uint64_t resolve = done;
-                    ++resolve_ring[resolve % kCoreRingSize];
-                    if (fetch_wait_branch &&
-                        wait_branch_idx == idx) {
-                        fetch_wait_branch = false;
-                        fetch_blocked_until = std::max(
-                            fetch_blocked_until,
-                            resolve + redirect_penalty);
+                    // Wake the consumers: one whose last producer this
+                    // was is parked at its operands' ready cycle. A
+                    // store or branch wakes its consumers too -- the
+                    // model waits on any producer's readyCycle.
+                    for (std::uint16_t link = e.wakeHead;
+                         link != SimScratch::kNoLink;) {
+                        const std::size_t c = link >> 1;
+                        SimScratch::RobSlot &consumer = rob[c];
+                        link = consumer.wakeNext[link & 1];
+                        consumer.operandsAt =
+                            std::max(consumer.operandsAt, e.readyCycle);
+                        if (--consumer.pending == 0)
+                            park(c, consumer.operandsAt);
                     }
+                    e.wakeHead = SimScratch::kNoLink;
+
+                    if (op.flags & DecodedTrace::kOpBranch) {
+                        // Resolution: the branch count drops and, if
+                        // this is the branch fetch is stalled on, fetch
+                        // restarts after the redirect penalty.
+                        const std::uint64_t resolve = done;
+                        ++resolve_ring[resolve % kCoreRingSize];
+                        if (fetch_wait_branch &&
+                            wait_branch_idx == idx) {
+                            fetch_wait_branch = false;
+                            fetch_blocked_until = std::max(
+                                fetch_blocked_until,
+                                resolve + redirect_penalty);
+                        }
+                    }
+                    if (issued == width)
+                        break;
                 }
             }
-            iq.resize(kept);
-            iq_sleep.resize(kept);
-            iq_all_cached = scan_all_cached;
-            iq_min_sleep = scan_min;
         }
 
         // ---- Dispatch ---------------------------------------------
@@ -514,7 +489,7 @@ replay(const DecodedTrace &trace, std::size_t begin, std::size_t end,
                 dispatch_stall = &stats.dispatchStallRob;
                 break;
             }
-            if (iq.size() == iq_size) {
+            if (iq_count == iq_size) {
                 ++stats.dispatchStallIq;
                 dispatch_stall = &stats.dispatchStallIq;
                 break;
@@ -532,36 +507,48 @@ replay(const DecodedTrace &trace, std::size_t begin, std::size_t end,
                 break;
             }
 
-            SimScratch::RobSlot &e = slot(f.idx);
+            const std::size_t s = f.idx & rob_mask;
+            SimScratch::RobSlot &e = rob[s];
             e.readyCycle = kCoreNotReady;
             e.issued = false;
+            e.wakeHead = SimScratch::kNoLink;
+            // Issue is next cycle at the earliest. A source whose
+            // producer has committed, or lies before the interval, is
+            // ready; an issued producer's result cycle is known; an
+            // unissued producer will wake this entry when it issues.
+            e.operandsAt = cycle + 1;
+            e.pending = 0;
+            // Branch-free: which of the three cases applies is data
+            // dependent and mispredicts badly. A source that does not
+            // wait links into a dummy list head instead.
+            std::uint16_t no_wait_head = SimScratch::kNoLink;
+            auto wait_for = [&](std::uint32_t dist, unsigned source) {
+                const std::size_t producer = f.idx - dist;
+                const bool live =
+                    (dist != 0) & (producer >= commit_idx) &
+                    (dist <= static_cast<std::uint32_t>(f.idx - begin));
+                SimScratch::RobSlot &p = slot(producer);
+                const bool issued = p.issued;
+                e.operandsAt = std::max(
+                    e.operandsAt, live & issued ? p.readyCycle : 0);
+                const bool waits = live & !issued;
+                std::uint16_t &head = waits ? p.wakeHead : no_wait_head;
+                e.wakeNext[source] = head;
+                head = static_cast<std::uint16_t>(s << 1 | source);
+                e.pending = static_cast<std::uint8_t>(e.pending + waits);
+            };
+            wait_for(op.srcDist1, 0);
+            if (op.srcDist2 != op.srcDist1)
+                wait_for(op.srcDist2, 1);
+            if (e.pending == 0) {
+                if (e.operandsAt == cycle + 1)
+                    ready[s / 64] |= std::uint64_t{1} << (s % 64);
+                else
+                    park(s, e.operandsAt);
+            }
+            ++iq_count;
             progress = true;
             ++rob_count;
-            iq.push_back(f.idx);
-            // Seed the wake cache from the producers' published
-            // schedules so a dispatch into an otherwise-sleeping
-            // queue does not force a full rescan next cycle.
-            {
-                const std::uint64_t w1 =
-                    src_wake(f.idx, op.srcDist1);
-                const std::uint64_t w2 =
-                    src_wake(f.idx, op.srcDist2);
-                std::uint64_t sleep = 0;
-                if (w1 != kCoreNotReady)
-                    sleep = w1;
-                if (w2 != kCoreNotReady)
-                    sleep = std::max(sleep, w2);
-                iq_sleep.push_back(sleep);
-                if (sleep) {
-                    iq_min_sleep =
-                        std::min(iq_min_sleep, sleep);
-                    slot(f.idx).readyCycle =
-                        sleep +
-                        static_cast<std::uint64_t>(op.latency);
-                } else {
-                    iq_all_cached = false;
-                }
-            }
             if (op.flags & DecodedTrace::kOpMem) {
                 ++lsq_count;
                 energy.add(EnergyEvent::LsqWrite);
@@ -682,10 +669,39 @@ replay(const DecodedTrace &trace, std::size_t begin, std::size_t end,
                 if (e.issued && e.readyCycle > cycle)
                     wake = std::min(wake, e.readyCycle);
             }
-            // Issue: an IQ entry's sources all become ready (or a
-            // divider frees up) -- already accumulated by the scan
-            // above.
-            wake = std::min(wake, iq_wake);
+            // Issue: the first occupied wheel bucket after this cycle
+            // (every parked cycle lies within one ring period).
+            {
+                const std::size_t from = (cycle + 1) % kCoreRingSize;
+                const std::size_t first_word = from / 64;
+                for (std::size_t k = 0; k <= kWheelWords; ++k) {
+                    const std::size_t w =
+                        (first_word + k) % kWheelWords;
+                    std::uint64_t bits = wheel_used[w];
+                    if (k == 0)
+                        bits &= ~std::uint64_t{0} << (from % 64);
+                    else if (k == kWheelWords)
+                        bits &= (std::uint64_t{1} << (from % 64)) - 1;
+                    if (bits) {
+                        const std::size_t b =
+                            w * 64 + static_cast<std::size_t>(
+                                         std::countr_zero(bits));
+                        wake = std::min(
+                            wake, cycle + 1 +
+                                      ((b - from) & (kCoreRingSize - 1)));
+                        break;
+                    }
+                }
+            }
+            // Issue: nothing issued, so every ready entry is a
+            // division waiting for a divider -- the first to free
+            // up. (Width, ports and units only run out when something
+            // issues.)
+            if (any_ready()) {
+                const std::uint64_t div_free =
+                    *std::min_element(div_busy.begin(), div_busy.end());
+                wake = std::min(wake, std::max(div_free, cycle + 1));
+            }
             // Dispatch: the front-end head leaves the fetch
             // pipeline. (A resource-stalled head is freed by a
             // commit or issue event, already bounded above.)
@@ -815,6 +831,29 @@ simulateOne(const MicroarchConfig &config, const DecodedTrace &trace,
 
 } // namespace
 
+namespace
+{
+
+/**
+ * The CoreStats events simulateBatch() sums into obs counters: where
+ * the simulated cycles went, per resource.
+ */
+constexpr std::pair<const char *, std::uint64_t CoreStats::*>
+    kEventCounters[] = {
+        {"sim/il1-misses", &CoreStats::il1Misses},
+        {"sim/dl1-misses", &CoreStats::dl1Misses},
+        {"sim/l2-misses", &CoreStats::l2Misses},
+        {"sim/mispredicts", &CoreStats::mispredicts},
+        {"sim/btb-misses", &CoreStats::btbMisses},
+        {"sim/stall-rob", &CoreStats::dispatchStallRob},
+        {"sim/stall-iq", &CoreStats::dispatchStallIq},
+        {"sim/stall-lsq", &CoreStats::dispatchStallLsq},
+        {"sim/stall-regs", &CoreStats::dispatchStallRegs},
+        {"sim/stall-branches", &CoreStats::fetchStallBranches},
+};
+
+} // namespace
+
 void
 simulateBatch(std::span<const MicroarchConfig> configs,
               const DecodedTrace &trace, const SimulationOptions &options,
@@ -823,14 +862,20 @@ simulateBatch(std::span<const MicroarchConfig> configs,
     ACDSE_CHECK(results.size() >= configs.size(),
                  "result span smaller than the config batch");
     const obs::TraceSpan span(obs::Registry::global(), "sim/batch");
-    std::uint64_t instructions = 0;
+    CoreStats sum;
     for (std::size_t i = 0; i < configs.size(); ++i) {
         results[i] = simulateOne(configs[i], trace, options, scratch);
-        instructions += results[i].stats.instructions;
+        sum.instructions += results[i].stats.instructions;
+        for (const auto &[name, field] : kEventCounters)
+            sum.*field += results[i].stats.*field;
     }
-    obs::Registry &registry = obs::Registry::global();
-    registry.counter("sim/instructions").add(instructions);
-    registry.counter("sim/lanes-occupied").add(configs.size());
+    if constexpr (obs::kEnabled) {
+        obs::Registry &registry = obs::Registry::global();
+        registry.counter("sim/instructions").add(sum.instructions);
+        registry.counter("sim/lanes-occupied").add(configs.size());
+        for (const auto &[name, field] : kEventCounters)
+            registry.counter(name).add(sum.*field);
+    }
 }
 
 std::vector<SimulationResult>

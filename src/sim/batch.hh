@@ -15,8 +15,10 @@
  *    *reconfigured* -- not reallocated -- for each configuration, so
  *    steady-state replay performs no heap allocation (bench_campaign
  *    asserts this).
- *  - The engine skips idle cycles and caches operand wake-up bounds
- *    (see batch.cc); both are provably invisible in the results.
+ *  - Issue is event-driven: a result wakes its waiting consumers, and
+ *    each cycle visits only the instructions whose operands are ready,
+ *    in age order. Cycles in which nothing changes are skipped in one
+ *    step (see batch.cc). Neither shortcut is visible in the results.
  *
  * Two levels of API: simulateBatch() runs whole simulations (warm-up,
  * timed run, metrics); configure(), replay() and warm() expose the
@@ -29,13 +31,19 @@
  * sim/core_ops.hh keep the two from drifting.
  *
  * Observability: simulateBatch() runs under a "sim/batch" trace span
- * and feeds two counters -- "sim/instructions" (instructions committed
- * through this path) and "sim/lanes-occupied" (configurations
- * simulated).
+ * and feeds "sim/instructions" (instructions committed through this
+ * path), "sim/lanes-occupied" (configurations simulated) and, summed
+ * over the call's results, one counter per CoreStats event: cache
+ * misses ("sim/il1-misses", "sim/dl1-misses", "sim/l2-misses"),
+ * "sim/mispredicts", "sim/btb-misses", the dispatch stall cycles
+ * ("sim/stall-rob", "sim/stall-iq", "sim/stall-lsq", "sim/stall-regs")
+ * and "sim/stall-branches" (fetch stalled on the in-flight branch
+ * limit). Counters are bumped once per call, never per cycle.
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -135,11 +143,41 @@ class DecodedTrace
  */
 struct SimScratch
 {
-    /** Per-in-flight-instruction bookkeeping (ROB ring slot). */
+    /** Largest ROB ring replay() supports (the ROB parameter tops out
+     *  at 160, padded to the next power of two). */
+    static constexpr std::size_t kMaxRobSlots = 256;
+    /** 64-bit words of a mask with one bit per ROB slot. */
+    static constexpr std::size_t kSlotWords = kMaxRobSlots / 64;
+    /** One bit per ROB slot (ready set, wheel bucket). */
+    using SlotMask = std::array<std::uint64_t, kSlotWords>;
+    /** Wake-list terminator. */
+    static constexpr std::uint16_t kNoLink = 0xffff;
+
+    /**
+     * Per-in-flight-instruction bookkeeping (ROB ring slot). An
+     * unissued entry is in exactly one of three states: blocked
+     * (pending > 0: linked into the wake list of each unissued
+     * producer), timed (parked in the wheel at operandsAt) or ready (a
+     * bit in replay()'s ready mask).
+     */
     struct RobSlot
     {
-        std::uint64_t readyCycle;   //!< result availability cycle
-        bool issued;                //!< left the issue queue
+        std::uint64_t readyCycle = kCoreNotReady; //!< result cycle, once issued
+        /**
+         * Earliest cycle the operands allow issue: the max of the
+         * dispatch cycle + 1 and the result cycles of the producers
+         * that have issued so far.
+         */
+        std::uint64_t operandsAt = 0;
+        /**
+         * Head of the list of consumers waiting on this result. A link
+         * is (consumer slot << 1 | source operand), so one consumer can
+         * wait on two producers through its two wakeNext fields.
+         */
+        std::uint16_t wakeHead = kNoLink;
+        std::uint16_t wakeNext[2] = {kNoLink, kNoLink}; //!< per source
+        std::uint8_t pending = 0;   //!< producers not yet issued
+        bool issued = false;        //!< left the issue queue
     };
 
     /** One fetched instruction waiting to dispatch (front-end depth). */
@@ -166,14 +204,13 @@ struct SimScratch
 
     std::vector<RobSlot> rob;           //!< ROB ring
     std::vector<Fetched> fetchQueue;    //!< FIFO via head index
-    std::vector<std::size_t> iq;        //!< age-ordered issue queue
     /**
-     * Parallel to iq: the earliest cycle the entry's operands can be
-     * ready, or 0 when unknown. A nonzero value is exact -- the max of
-     * both producers' immutable readyCycle -- so replay() skips the
-     * entry without rescanning until the value expires.
+     * Timing wheel of kCoreRingSize buckets, indexed by cycle modulo
+     * the ring: the ROB slots whose operands all become ready in that
+     * cycle. A bucket is only meaningful while replay() marks it
+     * occupied, so stale contents need no clearing.
      */
-    std::vector<std::uint64_t> iqSleep;
+    std::vector<SlotMask> wheel;
     std::vector<std::uint8_t> wbRing;   //!< write-port usage per cycle
     std::vector<std::uint8_t> resolveRing; //!< branch resolutions
     std::vector<std::uint64_t> divBusy; //!< per-divider busy-until

@@ -14,12 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "arch/design_space.hh"
 #include "base/binary_io.hh"
 #include "base/thread_pool.hh"
+#include "obs/metrics.hh"
 #include "reference_sim.hh"
 #include "sim/batch.hh"
 #include "sim/cacti.hh"
@@ -100,6 +103,77 @@ TEST_P(BatchSimSizes, BitIdenticalToScalar)
 INSTANTIATE_TEST_SUITE_P(AroundLaneCount, BatchSimSizes,
                          ::testing::Values(1, 7, 8, 9));
 
+/**
+ * Valid configurations at the extremes of the parameters the issue
+ * stage reads: width 2/8 (issue width and functional units, one or two
+ * FP dividers), read ports 2/16, write ports 1/8, IQ 8/80, ROB 32/160
+ * (one or four 64-slot words of the ready mask) and in-flight branches
+ * 8/32. LSQ, register file and D-cache alternate between their
+ * smallest and largest sizes so the dispatch stalls and load latencies
+ * vary as well.
+ */
+std::vector<MicroarchConfig>
+cornerConfigs()
+{
+    std::vector<MicroarchConfig> configs;
+    for (const int width : {2, 8})
+        for (const int read : {2, 16})
+            for (const int write : {1, 8})
+                for (const int iq : {8, 80})
+                    for (const int rob : {32, 160})
+                        for (const int branches : {8, 32}) {
+                            MicroarchConfig c;
+                            c.set(Param::Width, width);
+                            c.set(Param::RfReadPorts, read);
+                            c.set(Param::RfWritePorts, write);
+                            c.set(Param::IqSize, iq);
+                            c.set(Param::RobSize, rob);
+                            c.set(Param::MaxBranches, branches);
+                            const bool small = configs.size() % 2 == 0;
+                            c.set(Param::LsqSize, small ? 8 : 32);
+                            c.set(Param::RfSize, small ? 40 : 160);
+                            c.set(Param::Dl1Size, small ? 8 : 128);
+                            if (DesignSpace::isValid(c))
+                                configs.push_back(c);
+                        }
+    return configs;
+}
+
+// The engine's event-driven issue against the reference's IQ scan on
+// the extreme configurations, for integer, memory-bound and
+// divide-heavy programs (applu, sixtrack and basicmath have the largest
+// FP-divide shares), with and without warm-up.
+class BatchSimCorners : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(BatchSimCorners, ExtremeConfigsMatchReference)
+{
+    const auto configs = cornerConfigs();
+    ASSERT_EQ(configs.size(), 36u);
+    const Trace trace = makeTrace(GetParam(), 4000);
+    const DecodedTrace decoded(trace);
+    SimScratch scratch;
+    std::vector<SimulationResult> batched(configs.size());
+    for (const std::size_t warmup : {std::size_t{0}, std::size_t{2000}}) {
+        SimulationOptions options;
+        options.warmupInstructions = warmup;
+        simulateBatch(std::span<const MicroarchConfig>(configs), decoded,
+                      options, std::span<SimulationResult>(batched),
+                      scratch);
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            SCOPED_TRACE(::testing::Message()
+                         << configs[i].key() << " warmup " << warmup);
+            expectIdentical(batched[i],
+                            referenceSimulate(configs[i], trace, options));
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Programs, BatchSimCorners,
+                         ::testing::Values("gcc", "mcf", "applu",
+                                           "sixtrack", "basicmath"));
+
 TEST(BatchSim, ScratchReuseAcrossTracesAndBatches)
 {
     // One scratch serves different traces and different configs in
@@ -168,6 +242,48 @@ TEST(BatchSimGolden, ThreeProgramsNineConfigs)
         }
     }
     EXPECT_EQ(fnv1a64(w.buffer()), 0x5941ede001a58db7ULL);
+}
+
+// simulateBatch() adds the batch's summed CoreStats events to the
+// sim/... obs counters, once per call; without obs they stay at zero.
+TEST(BatchSimCounters, DeltasEqualSummedStats)
+{
+    const Trace trace = makeTrace("mcf", 4000);
+    const auto configs = DesignSpace::sampleValidConfigs(5, 77);
+    const std::pair<const char *, std::uint64_t CoreStats::*> events[] = {
+        {"sim/instructions", &CoreStats::instructions},
+        {"sim/il1-misses", &CoreStats::il1Misses},
+        {"sim/dl1-misses", &CoreStats::dl1Misses},
+        {"sim/l2-misses", &CoreStats::l2Misses},
+        {"sim/mispredicts", &CoreStats::mispredicts},
+        {"sim/btb-misses", &CoreStats::btbMisses},
+        {"sim/stall-rob", &CoreStats::dispatchStallRob},
+        {"sim/stall-iq", &CoreStats::dispatchStallIq},
+        {"sim/stall-lsq", &CoreStats::dispatchStallLsq},
+        {"sim/stall-regs", &CoreStats::dispatchStallRegs},
+        {"sim/stall-branches", &CoreStats::fetchStallBranches},
+    };
+    obs::Registry &registry = obs::Registry::global();
+    std::vector<std::uint64_t> before;
+    for (const auto &[name, field] : events)
+        before.push_back(registry.counter(name).value());
+
+    const auto results =
+        simulateBatch(std::span<const MicroarchConfig>(configs), trace);
+
+    for (std::size_t e = 0; e < std::size(events); ++e) {
+        const auto &[name, field] = events[e];
+        std::uint64_t sum = 0;
+        for (const SimulationResult &r : results)
+            sum += r.stats.*field;
+        SCOPED_TRACE(name);
+        if (obs::kEnabled) {
+            EXPECT_GT(sum, 0u);
+            EXPECT_EQ(registry.counter(name).value() - before[e], sum);
+        } else {
+            EXPECT_EQ(registry.counter(name).value(), 0u);
+        }
+    }
 }
 
 TEST(BatchSim, CactiMemoisationServesRepeatedGeometry)

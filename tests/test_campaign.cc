@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "base/csv.hh"
 #include "core/campaign.hh"
 #include "scratch_dir.hh"
 
@@ -99,6 +100,44 @@ TEST(Campaign, SubsetSaveDoesNotClobberSharedCache)
     fresh_crc.ensureComputed();
     EXPECT_EQ(both.metricRow(0, Metric::Cycles),
               fresh_crc.metricRow(0, Metric::Cycles));
+}
+
+TEST(Campaign, CacheLoadSkipsMalformedAndUnknownRows)
+{
+    // Cells are stored by hand, so nothing is simulated.
+    const CampaignOptions options = tinyOptions("acdse_t11");
+    Campaign saved({"crc32", "sha"}, options);
+    std::vector<std::size_t> cells;
+    for (std::size_t cell = 0; cell < saved.numCells(); ++cell) {
+        saved.storeCell(cell, Metrics::fromCyclesEnergy(
+                                  1000.0 + 0.1 * cell, 2.5e3 / (cell + 1)));
+        cells.push_back(cell);
+    }
+    CsvFile file = saved.cacheRows(cells);
+    const std::string known_config = file.rows[0][1];
+    file.rows.push_back({"crc32", known_config, "12x", "3.0"});
+    file.rows.push_back({"crc32", "not-a-config", "5.0", "3.0"});
+    file.rows.push_back({"not-a-program", known_config, "5.0", "3.0"});
+    const std::string path = options.cacheDir + "/rows.csv";
+    writeCsv(path, file);
+
+    Campaign loaded({"crc32", "sha"}, options);
+    EXPECT_EQ(loaded.loadCacheRowsFrom(path), loaded.numCells());
+    for (std::size_t cell = 0; cell < loaded.numCells(); ++cell) {
+        ASSERT_TRUE(loaded.cellComputed(cell));
+        EXPECT_EQ(loaded.cellResult(cell).cycles,
+                  saved.cellResult(cell).cycles);
+        EXPECT_EQ(loaded.cellResult(cell).energyNj,
+                  saved.cellResult(cell).energyNj);
+    }
+
+    // A ragged row rejects the whole file: nothing is loaded.
+    file.rows.push_back({"crc32", known_config});
+    writeCsv(path, file);
+    Campaign rejected({"crc32", "sha"}, options);
+    EXPECT_EQ(rejected.loadCacheRowsFrom(path), 0u);
+    for (std::size_t cell = 0; cell < rejected.numCells(); ++cell)
+        EXPECT_FALSE(rejected.cellComputed(cell));
 }
 
 TEST(Campaign, DeterministicResults)
